@@ -151,9 +151,7 @@ obs::TelemetryRecorder& SensorNetwork::EnableTelemetry(
     flight_recorder_ = raw;
   }
 
-  if (auditor_ != nullptr) TrackAccuracySeries();
-  if (energy_ledger_ != nullptr) TrackEnergySeries();
-  if (topo_monitor_ != nullptr) TrackTopoSeries();
+  TrackMonitorSeries();
 
   watchdog_ = std::make_unique<obs::SloWatchdog>(telemetry_.get(),
                                                  &sim_->journal());
@@ -176,38 +174,16 @@ obs::EnergyLedger& SensorNetwork::EnableEnergyLedger() {
   energy_ledger_ = std::make_unique<obs::EnergyLedger>(
       config_.energy, agents_.size(), &sim_->registry());
   sim_->SetEnergyLedger(energy_ledger_.get());
-  if (telemetry_ != nullptr) TrackEnergySeries();
+  TrackMonitorSeries();
   return *energy_ledger_;
-}
-
-void SensorNetwork::TrackEnergySeries() {
-  telemetry_->TrackGauge("energy.drained");
-  telemetry_->TrackGauge("energy.burn_rate");
-  telemetry_->TrackCounterRate("net.node_deaths");
-  // Remaining-charge and forecast gauges only exist for finite batteries
-  // (an unlimited model's would be infinite, and TrackGauge would create
-  // them in the registry just to serialize null into sidecars).
-  if (!energy_ledger_->unlimited()) {
-    telemetry_->TrackGauge("energy.remaining_total");
-    telemetry_->TrackGauge("energy.remaining_min");
-    telemetry_->TrackGauge("energy.first_death_tick");
-    telemetry_->TrackGauge("energy.coverage_knee_tick");
-  }
 }
 
 obs::AccuracyAuditor& SensorNetwork::EnableAccuracyAudit(
     const obs::AccuracyAuditConfig& config) {
   auditor_ = std::make_unique<obs::AccuracyAuditor>(
       config, agents_.size(), &sim_->registry(), &sim_->journal());
-  if (telemetry_ != nullptr) TrackAccuracySeries();
+  TrackMonitorSeries();
   return *auditor_;
-}
-
-void SensorNetwork::TrackAccuracySeries() {
-  telemetry_->TrackGauge("accuracy.violation_rate");
-  telemetry_->TrackGauge("accuracy.budget_burn");
-  telemetry_->TrackGauge("accuracy.max_abs_error");
-  telemetry_->TrackCounterRate("accuracy.violations");
 }
 
 obs::TopologyMonitor& SensorNetwork::EnableTopologyMonitor(
@@ -215,11 +191,33 @@ obs::TopologyMonitor& SensorNetwork::EnableTopologyMonitor(
   topo_monitor_ = std::make_unique<obs::TopologyMonitor>(
       config, agents_.size(), &sim_->registry(), &sim_->journal());
   sim_->SetLinkObserver(&topo_monitor_->link_observer());
-  if (telemetry_ != nullptr) TrackTopoSeries();
+  TrackMonitorSeries();
   return *topo_monitor_;
 }
 
-void SensorNetwork::TrackTopoSeries() {
+void SensorNetwork::TrackMonitorSeries() {
+  if (telemetry_ == nullptr) return;
+  if (auditor_ != nullptr) {
+    telemetry_->TrackGauge("accuracy.violation_rate");
+    telemetry_->TrackGauge("accuracy.budget_burn");
+    telemetry_->TrackGauge("accuracy.max_abs_error");
+    telemetry_->TrackCounterRate("accuracy.violations");
+  }
+  if (energy_ledger_ != nullptr) {
+    telemetry_->TrackGauge("energy.drained");
+    telemetry_->TrackGauge("energy.burn_rate");
+    telemetry_->TrackCounterRate("net.node_deaths");
+    // Remaining-charge and forecast gauges only exist for finite batteries
+    // (an unlimited model's would be infinite, and TrackGauge would create
+    // them in the registry just to serialize null into sidecars).
+    if (!energy_ledger_->unlimited()) {
+      telemetry_->TrackGauge("energy.remaining_total");
+      telemetry_->TrackGauge("energy.remaining_min");
+      telemetry_->TrackGauge("energy.first_death_tick");
+      telemetry_->TrackGauge("energy.coverage_knee_tick");
+    }
+  }
+  if (topo_monitor_ == nullptr) return;
   telemetry_->TrackGauge("topo.partitions");
   telemetry_->TrackGauge("topo.bridges");
   telemetry_->TrackGauge("topo.articulation_nodes");

@@ -251,19 +251,13 @@ class SensorNetwork {
   std::unique_ptr<MaintenanceDriver> maintenance_;
   std::optional<Dataset> dataset_;
   obs::SnapshotHealthMonitor& EnsureHealthMonitor();
-  /// Tracks the accuracy gauges as telemetry series (idempotent — the
-  /// recorder dedupes by name); called from whichever of EnableTelemetry /
-  /// EnableAccuracyAudit runs second.
-  void TrackAccuracySeries();
-  /// Tracks the energy gauges as telemetry series (idempotent); called
-  /// from whichever of EnableTelemetry / EnableEnergyLedger runs second.
-  /// Remaining-charge and forecast series are skipped for unlimited
-  /// batteries (satellite: no infinite gauges in timeline/blackbox JSON).
-  void TrackEnergySeries();
-  /// Tracks the topology/churn gauges as telemetry series (idempotent);
-  /// called from whichever of EnableTelemetry / EnableTopologyMonitor
-  /// runs second.
-  void TrackTopoSeries();
+  /// With telemetry on, tracks the gauges of every enabled monitor as
+  /// telemetry series, in the order accuracy, energy, topology. Called
+  /// from EnableTelemetry and from each monitor's Enable*; idempotent (the
+  /// recorder dedupes by name), so each series keeps the position of its
+  /// first registration. Energy remaining-charge and forecast series are
+  /// skipped for unlimited batteries (no infinite gauges in sidecars).
+  void TrackMonitorSeries();
   /// Copies `options` with the auditor injected (when enabled and the
   /// caller has not set a hook of their own).
   ExecutionOptions WithAudit(const ExecutionOptions& options) const;

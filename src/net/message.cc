@@ -4,20 +4,6 @@
 
 namespace snapq {
 
-const char* RadioEventKindName(RadioEventKind kind) {
-  switch (kind) {
-    case RadioEventKind::kSend:
-      return "send";
-    case RadioEventKind::kDeliver:
-      return "deliver";
-    case RadioEventKind::kSnoop:
-      return "snoop";
-    case RadioEventKind::kLoss:
-      return "loss";
-  }
-  return "?";
-}
-
 const char* MessageTypeName(MessageType type) {
   switch (type) {
     case MessageType::kInvitation:

@@ -13,12 +13,9 @@
 
 namespace snapq {
 
-/// The one radio-event taxonomy shared by the legacy ring recorder
-/// (sim/trace.h) and the causal tracer's per-message delivery records.
+/// Radio-event taxonomy of the causal tracer's per-message delivery
+/// records (and the trace analyzer's outcome counts).
 enum class RadioEventKind { kSend, kDeliver, kSnoop, kLoss };
-
-/// Stable lowercase name ("send", "deliver", "snoop", "loss").
-const char* RadioEventKindName(RadioEventKind kind);
 
 /// Ids threaded through the protocol. All ids are minted by the Tracer;
 /// id 0 means "absent": trace_id 0 = the message/event is not part of a

@@ -8,6 +8,7 @@
 
 #include "common/table_printer.h"
 #include "obs/metric_registry.h"
+#include "obs/tracer.h"
 
 namespace snapq::obs {
 
@@ -218,22 +219,69 @@ double ScopedPhaseTimer::ThreadCpuMicros() {
          static_cast<double>(ts.tv_nsec) * 1e-3;
 }
 
-ScopedPhaseTimer::ScopedPhaseTimer(ProfPhase phase)
-    : profiler_(Profiler::Active()), phase_(phase) {
-  if (profiler_ != nullptr) {
-    wall_start_ = std::chrono::steady_clock::now();
-    cpu_start_us_ = ThreadCpuMicros();
-  }
+const std::vector<double>& ScopedPhaseTimer::WallMicrosBounds() {
+  static const std::vector<double>* bounds = new std::vector<double>{
+      1, 10, 100, 1000, 10000, 100000, 1000000};
+  return *bounds;
 }
 
-ScopedPhaseTimer::~ScopedPhaseTimer() {
-  if (profiler_ == nullptr) return;
-  const double wall_us =
-      std::chrono::duration<double, std::micro>(
-          std::chrono::steady_clock::now() - wall_start_)
-          .count();
-  const double cpu_us = ThreadCpuMicros() - cpu_start_us_;
-  profiler_->RecordPhase(phase_, wall_us, std::max(cpu_us, 0.0));
+const std::vector<double>& ScopedPhaseTimer::SimTicksBounds() {
+  static const std::vector<double>* bounds = new std::vector<double>{
+      0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000};
+  return *bounds;
+}
+
+ScopedPhaseTimer::ScopedPhaseTimer(ProfPhase phase, MetricRegistry* registry,
+                                   std::string_view name)
+    : profiler_(Profiler::Active()),
+      phase_(phase),
+      registry_(registry),
+      name_(name) {
+  if (profiler_ != nullptr || registry_ != nullptr) {
+    wall_start_ = std::chrono::steady_clock::now();
+  }
+  if (profiler_ != nullptr) cpu_start_us_ = ThreadCpuMicros();
+}
+
+void ScopedPhaseTimer::BeginSim(int64_t sim_now) {
+  sim_start_ = sim_now;
+  sim_start_set_ = true;
+}
+
+void ScopedPhaseTimer::EndSim(int64_t sim_now) {
+  sim_end_ = sim_now;
+  sim_end_set_ = true;
+}
+
+void ScopedPhaseTimer::AttachTrace(Tracer* tracer, const TraceContext& ctx) {
+  tracer_ = tracer;
+  trace_ctx_ = ctx;
+}
+
+void ScopedPhaseTimer::End() {
+  if (ended_) return;
+  ended_ = true;
+  const bool sim_marked = sim_start_set_ && sim_end_set_;
+  if (tracer_ != nullptr && trace_ctx_.sampled() && sim_marked) {
+    tracer_->RecordPhase(trace_ctx_, std::string(name_), sim_start_,
+                         sim_end_);
+  }
+  if (profiler_ == nullptr && registry_ == nullptr) return;
+  const double wall_us = std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - wall_start_)
+                             .count();
+  if (profiler_ != nullptr) {
+    const double cpu_us = ThreadCpuMicros() - cpu_start_us_;
+    profiler_->RecordPhase(phase_, wall_us, std::max(cpu_us, 0.0));
+  }
+  if (registry_ == nullptr) return;
+  const std::string name(name_);
+  registry_->GetHistogram(name + ".wall_us", WallMicrosBounds())
+      ->Observe(wall_us);
+  if (sim_marked) {
+    registry_->GetHistogram(name + ".sim_ticks", SimTicksBounds())
+        ->Observe(static_cast<double>(sim_end_ - sim_start_));
+  }
 }
 
 }  // namespace snapq::obs

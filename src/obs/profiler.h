@@ -40,10 +40,15 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <vector>
+
+#include "net/trace_context.h"
 
 namespace snapq::obs {
 
 class MetricRegistry;
+class Tracer;
 
 /// Log-bucketed histogram with exact count/sum/min/max and percentile
 /// estimates accurate to one bucket (buckets grow by 2^(1/4) ~ 19%, so a
@@ -204,14 +209,53 @@ inline void ProfCount(HotOp op, uint64_t delta = 1) {
   if (Profiler* p = Profiler::Active()) p->Count(op, delta);
 }
 
-/// RAII CPU+wall timer for one ProfPhase occurrence. Inert (two pointer
-/// loads) when profiling is disabled at construction.
+/// RAII timer for one protocol phase (an election, a maintenance tick, a
+/// query execution, a network build). It reads the wall clock once at
+/// each end and feeds whichever sinks are present:
+///  * the active profiler's `phase` histograms (wall and thread-CPU time;
+///    only when profiling is on at construction);
+///  * a non-null `registry`: "<name>.wall_us", plus "<name>.sim_ticks"
+///    when both BeginSim and EndSim were called (simulated phases advance
+///    the event queue, wall-only phases do not);
+///  * an attached tracer: a kPhase span `name` over the sim marks (needs
+///    both marks and a sampled context).
+///
+///   {
+///     obs::ScopedPhaseTimer timer(obs::ProfPhase::kElection,
+///                                 &sim.registry(), "election");
+///     timer.BeginSim(sim.now());
+///     ... run the phase ...
+///     timer.EndSim(sim.now());
+///   }
+///
+/// With no profiler, registry or tracer the timer is inert: no clock read
+/// and no allocation. `name` is not copied, so it must outlive the timer
+/// (every call site passes a string literal).
 class ScopedPhaseTimer {
  public:
-  explicit ScopedPhaseTimer(ProfPhase phase);
-  ~ScopedPhaseTimer();
+  explicit ScopedPhaseTimer(ProfPhase phase,
+                            MetricRegistry* registry = nullptr,
+                            std::string_view name = {});
+  ~ScopedPhaseTimer() { End(); }
   ScopedPhaseTimer(const ScopedPhaseTimer&) = delete;
   ScopedPhaseTimer& operator=(const ScopedPhaseTimer&) = delete;
+
+  /// Marks the simulated start/end of the phase. Either may be omitted;
+  /// sim ticks and the trace span are only recorded when both were set.
+  void BeginSim(int64_t sim_now);
+  void EndSim(int64_t sim_now);
+
+  /// Also records the phase into `tracer` under `ctx` when it ends. Null
+  /// tracer or unsampled ctx: no-op.
+  void AttachTrace(Tracer* tracer, const TraceContext& ctx);
+
+  /// Records into every sink early; later calls and the destructor do
+  /// nothing.
+  void End();
+
+  /// Registry bucket bounds (exposed so tests and dashboards agree).
+  static const std::vector<double>& WallMicrosBounds();
+  static const std::vector<double>& SimTicksBounds();
 
   /// Thread CPU time in microseconds (CLOCK_THREAD_CPUTIME_ID).
   static double ThreadCpuMicros();
@@ -219,8 +263,17 @@ class ScopedPhaseTimer {
  private:
   Profiler* profiler_;
   ProfPhase phase_;
+  MetricRegistry* registry_;
+  std::string_view name_;
+  Tracer* tracer_ = nullptr;
+  TraceContext trace_ctx_{};
   std::chrono::steady_clock::time_point wall_start_{};
   double cpu_start_us_ = 0.0;
+  int64_t sim_start_ = 0;
+  int64_t sim_end_ = 0;
+  bool sim_start_set_ = false;
+  bool sim_end_set_ = false;
+  bool ended_ = false;
 };
 
 }  // namespace snapq::obs

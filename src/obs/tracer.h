@@ -42,7 +42,7 @@ const char* TraceRootKindName(TraceRootKind kind);
 enum class TraceSpanKind {
   kRoot,     ///< trace root (one per trace)
   kMessage,  ///< one radio transmission and its deliveries
-  kPhase,    ///< a timed protocol phase (from obs::Span)
+  kPhase,    ///< a timed protocol phase (from obs::ScopedPhaseTimer)
   kInstant,  ///< a zero-length annotation (e.g. "query.respond")
 };
 
@@ -123,8 +123,8 @@ class Tracer {
   void RecordInstant(const TraceContext& parent, std::string name, NodeId node,
                      Time t, int64_t value = 0);
 
-  /// Records a timed phase span [begin, end] under `parent` (obs::Span
-  /// calls this when a trace context is attached).
+  /// Records a timed phase span [begin, end] under `parent`
+  /// (ScopedPhaseTimer calls this when a trace context is attached).
   void RecordPhase(const TraceContext& parent, std::string name, Time begin,
                    Time end);
 

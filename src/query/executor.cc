@@ -8,7 +8,6 @@
 #include "common/check.h"
 #include "obs/accuracy.h"
 #include "obs/profiler.h"
-#include "obs/span.h"
 #include "query/aggregation.h"
 #include "query/parser.h"
 #include "query/predicate.h"
@@ -99,14 +98,14 @@ QueryResult QueryExecutor::ExecuteRegion(const Rect& region,
   const size_t n = agents_->size();
   SNAPQ_CHECK_LT(options.sink, n);
   obs::ProfCount(obs::HotOp::kQueriesExecuted);
-  obs::ScopedPhaseTimer phase_timer(obs::ProfPhase::kQueryExecution);
-  obs::Span span(&sim_->registry(), "query.execute");
+  obs::ScopedPhaseTimer phase_timer(obs::ProfPhase::kQueryExecution,
+                                    &sim_->registry(), "query.execute");
   // Root cause: the injected query. `value` records the USE SNAPSHOT flag
   // so the analyzer knows which invariant applies.
   const TraceContext qroot = sim_->MintTraceRoot(
       obs::TraceRootKind::kQuery, options.sink, use_snapshot ? 1 : 0);
-  span.AttachTrace(sim_->tracer(), qroot);
-  span.BeginSim(sim_->now());
+  phase_timer.AttachTrace(sim_->tracer(), qroot);
+  phase_timer.BeginSim(sim_->now());
   Simulator::TraceScope trace_scope(*sim_, qroot);
   QueryResult result;
 
@@ -295,7 +294,7 @@ QueryResult QueryExecutor::ExecuteRegion(const Rect& region,
     for (NodeId i = 0; i < n; ++i) prov.depth[i] = tree.depth(i);
   }
 
-  span.EndSim(sim_->now());
+  phase_timer.EndSim(sim_->now());
   return result;
 }
 

@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "obs/profiler.h"
-#include "obs/span.h"
 
 namespace snapq {
 
@@ -52,9 +51,9 @@ ElectionStats RunGlobalElection(
     const SnapshotConfig& config) {
   SNAPQ_CHECK_GE(t0, sim.now());
   obs::ProfCount(obs::HotOp::kElectionRounds);
-  obs::ScopedPhaseTimer phase_timer(obs::ProfPhase::kElection);
-  obs::Span span(&sim.registry(), "election");
-  span.BeginSim(t0);
+  obs::ScopedPhaseTimer phase_timer(obs::ProfPhase::kElection,
+                                    &sim.registry(), "election");
+  phase_timer.BeginSim(t0);
   sim.journal().Emit("election.start", t0, [&](obs::JournalEvent& e) {
     e.Int("nodes", static_cast<int64_t>(agents.size()));
   });
@@ -62,7 +61,7 @@ ElectionStats RunGlobalElection(
   // refinement message) hangs off this trace.
   const TraceContext root =
       sim.MintTraceRoot(obs::TraceRootKind::kElection, kInvalidNode);
-  span.AttachTrace(sim.tracer(), root);
+  phase_timer.AttachTrace(sim.tracer(), root);
   {
     Simulator::TraceScope scope(sim, root);
     sim.ScheduleAt(t0, [&sim] { sim.ResetPerNodeCounters(); });
@@ -74,7 +73,7 @@ ElectionStats RunGlobalElection(
   // acknowledgments scheduled on the final tick.
   const Time bound = t0 + 3 + config.max_wait + config.rule4_hard_cap + 2;
   sim.RunUntil(bound);
-  span.EndSim(sim.now());
+  phase_timer.EndSim(sim.now());
 
   const ElectionStats stats = SummarizeSnapshot(sim, agents);
 

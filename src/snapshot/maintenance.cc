@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "obs/profiler.h"
-#include "obs/span.h"
 #include "snapshot/election.h"
 
 namespace snapq {
@@ -49,22 +48,22 @@ void MaintenanceDriver::RunRound(Time round_start, Time /*horizon*/,
                                  RoundCallback callback) {
   sim_->ResetPerNodeCounters();
   obs::ProfCount(obs::HotOp::kMaintenanceRounds);
-  obs::ScopedPhaseTimer phase_timer(obs::ProfPhase::kMaintenanceRound);
+  obs::ScopedPhaseTimer phase_timer(obs::ProfPhase::kMaintenanceRound,
+                                    &sim_->registry(), "maintenance.tick");
   const uint64_t sends_before = ProtocolSends(sim_->metrics());
   // Root cause: this round's heartbeats, replies, timeout re-elections and
   // resignations all trace back here.
   const TraceContext round_ctx =
       sim_->MintTraceRoot(obs::TraceRootKind::kHeartbeatRound, kInvalidNode);
+  phase_timer.AttachTrace(sim_->tracer(), round_ctx);
+  phase_timer.BeginSim(round_start);
   {
-    obs::Span tick_span(&sim_->registry(), "maintenance.tick");
-    tick_span.AttachTrace(sim_->tracer(), round_ctx);
-    tick_span.BeginSim(round_start);
     Simulator::TraceScope scope(*sim_, round_ctx);
     for (auto& agent : *agents_) {
       agent->MaintenanceTick();
     }
-    tick_span.EndSim(sim_->now());
   }
+  phase_timer.EndSim(sim_->now());
   sim_->registry().GetCounter("maintenance.rounds")->Inc();
   if (!callback) return;
   // Measure after the round's re-elections quiesce but before the next

@@ -2,7 +2,7 @@
 // gauges into telemetry. remaining_total/remaining_min and the forecast
 // ticks are infinity when the battery is unbounded, and TrackGauge on
 // them would serialize `null` into every timeline sidecar — so
-// TrackEnergySeries skips them for EnergyModel::Unlimited() and tracks
+// TrackMonitorSeries skips them for EnergyModel::Unlimited() and tracks
 // the full set only for finite batteries, in either enable order.
 #include <gtest/gtest.h>
 

@@ -20,6 +20,14 @@
 namespace snapq::obs {
 namespace {
 
+/// "<prefix><i>", built by append rather than `"literal" + to_string(i)`,
+/// on which GCC 12 raises a false -Wrestrict in optimized builds.
+std::string Numbered(const char* prefix, int i) {
+  std::string line(prefix);
+  line += std::to_string(i);
+  return line;
+}
+
 std::vector<std::string> Retained(const FlightRecorder& rec) {
   std::vector<std::string> lines;
   rec.ForEach([&lines](const std::string& line) { lines.push_back(line); });
@@ -28,7 +36,7 @@ std::vector<std::string> Retained(const FlightRecorder& rec) {
 
 TEST(FlightRecorderTest, RingKeepsTheLastNLinesInOrder) {
   FlightRecorder rec(3);
-  for (int i = 0; i < 10; ++i) rec.Write("line" + std::to_string(i));
+  for (int i = 0; i < 10; ++i) rec.Write(Numbered("line", i));
   EXPECT_EQ(rec.capacity(), 3u);
   EXPECT_EQ(rec.size(), 3u);
   EXPECT_EQ(rec.total_written(), 10u);
@@ -41,7 +49,7 @@ TEST(FlightRecorderTest, TeesEveryLineToTheForwardSink) {
   MemoryJournalSink* forward_raw = forward.get();
   FlightRecorder rec(2);
   rec.SetForward(std::move(forward));
-  for (int i = 0; i < 5; ++i) rec.Write("l" + std::to_string(i));
+  for (int i = 0; i < 5; ++i) rec.Write(Numbered("l", i));
   // The ring is bounded; the forward sink sees everything.
   EXPECT_EQ(rec.size(), 2u);
   EXPECT_EQ(forward_raw->lines().size(), 5u);

@@ -9,7 +9,6 @@
 #include "api/experiment.h"
 #include "obs/journal.h"
 #include "obs/metric_registry.h"
-#include "obs/span.h"
 
 namespace snapq {
 namespace {
@@ -37,7 +36,7 @@ TEST(ObsIntegrationTest, ElectionPopulatesPerNodeGauges) {
   }
   EXPECT_EQ(node_gauges, SmallConfig().num_nodes);
 
-  // The election span recorded both wall and sim time.
+  // The election phase timer recorded both wall and sim time.
   EXPECT_GE(snap.at("election.wall_us.count"), 1.0);
   EXPECT_GE(snap.at("election.sim_ticks.count"), 1.0);
   EXPECT_GT(snap.at("election.sim_ticks.sum"), 0.0);

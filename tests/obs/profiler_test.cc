@@ -1,6 +1,7 @@
 // Unit tests for the hot-path profiler: log-histogram edge cases (the
 // BENCH.json percentiles depend on them), counter/rate mechanics, scoped
-// phase timers and the registry export.
+// phase timers (all three sinks: profiler, registry, tracer) and the
+// registry export.
 #include "obs/profiler.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,8 @@
 #include <vector>
 
 #include "obs/metric_registry.h"
+#include "obs/tracer.h"
+#include "sim/simulator.h"
 
 namespace snapq::obs {
 namespace {
@@ -224,6 +227,119 @@ TEST(ProfilerTest, ToTableMentionsEveryOpAndPhase) {
     EXPECT_NE(table.find(ProfPhaseName(static_cast<ProfPhase>(i))),
               std::string::npos);
   }
+}
+
+// The registry and tracer sinks of ScopedPhaseTimer (the phase "span").
+// Each case runs with the profiler off and on: those sinks must not
+// depend on whether profiling is enabled.
+template <typename Body>
+void WithProfilerOffAndOn(Body body) {
+  for (const bool on : {false, true}) {
+    SCOPED_TRACE(on ? "profiler on" : "profiler off");
+    Profiler::Global().Reset();
+    if (on) {
+      Profiler::Enable();
+    } else {
+      Profiler::Disable();
+    }
+    body(on);
+    Profiler::Disable();
+  }
+}
+
+TEST(ObsSpanTest, RecordsWallTimeOnDestruction) {
+  WithProfilerOffAndOn([](bool on) {
+    MetricRegistry reg;
+    { ScopedPhaseTimer timer(ProfPhase::kElection, &reg, "phase"); }
+    const MetricRegistry::Snapshot snap = reg.TakeSnapshot();
+    EXPECT_EQ(snap.at("phase.wall_us.count"), 1.0);
+    // No sim marks -> no sim-ticks histogram.
+    EXPECT_EQ(snap.count("phase.sim_ticks.count"), 0u);
+    EXPECT_EQ(Profiler::Global().wall_us(ProfPhase::kElection).count(),
+              on ? 1u : 0u);
+  });
+}
+
+TEST(ObsSpanTest, RecordsSimTicksWhenBothMarksSet) {
+  WithProfilerOffAndOn([](bool) {
+    MetricRegistry reg;
+    {
+      ScopedPhaseTimer timer(ProfPhase::kElection, &reg, "election");
+      timer.BeginSim(100);
+      timer.EndSim(142);
+    }
+    {
+      ScopedPhaseTimer timer(ProfPhase::kElection, &reg, "begin_only");
+      timer.BeginSim(100);
+    }
+    const MetricRegistry::Snapshot snap = reg.TakeSnapshot();
+    EXPECT_EQ(snap.at("election.sim_ticks.count"), 1.0);
+    EXPECT_EQ(snap.at("election.sim_ticks.sum"), 42.0);
+    EXPECT_EQ(snap.count("begin_only.sim_ticks.count"), 0u);
+  });
+}
+
+TEST(ObsSpanTest, ExplicitEndIsIdempotent) {
+  WithProfilerOffAndOn([](bool on) {
+    MetricRegistry reg;
+    {
+      ScopedPhaseTimer timer(ProfPhase::kQueryExecution, &reg, "p");
+      timer.BeginSim(0);
+      timer.EndSim(7);
+      timer.End();
+      timer.End();  // second call (and the destructor) must not re-record
+    }
+    EXPECT_EQ(reg.GetHistogram("p.sim_ticks",
+                               ScopedPhaseTimer::SimTicksBounds())
+                  ->count(),
+              1u);
+    EXPECT_EQ(reg.GetHistogram("p.wall_us",
+                               ScopedPhaseTimer::WallMicrosBounds())
+                  ->count(),
+              1u);
+    EXPECT_EQ(Profiler::Global().wall_us(ProfPhase::kQueryExecution).count(),
+              on ? 1u : 0u);
+  });
+}
+
+TEST(ObsSpanTest, NullRegistryIsInert) {
+  WithProfilerOffAndOn([](bool) {
+    ScopedPhaseTimer timer(ProfPhase::kElection, nullptr, "nothing");
+    timer.BeginSim(1);
+    timer.EndSim(2);
+    timer.AttachTrace(nullptr, TraceContext{});
+    timer.End();  // must not crash
+  });
+}
+
+TEST(ObsSpanTest, MatchesSimulatorClockAcrossAPhase) {
+  // Drive a real simulator and check the timer's sim ticks and its trace
+  // span equal the event-queue time that actually elapsed.
+  WithProfilerOffAndOn([](bool) {
+    Simulator sim({{0.0, 0.0}, {1.0, 0.0}}, {1.5, 1.5}, SimConfig{});
+    Tracer tracer;
+    sim.SetTracer(&tracer);
+    const TraceContext root =
+        sim.MintTraceRoot(TraceRootKind::kElection, kInvalidNode);
+    {
+      ScopedPhaseTimer timer(ProfPhase::kElection, &sim.registry(), "drain");
+      timer.AttachTrace(sim.tracer(), root);
+      timer.BeginSim(sim.now());
+      sim.ScheduleAt(25, [] {});
+      sim.RunUntil(30);
+      timer.EndSim(sim.now());
+    }
+    Histogram* h = sim.registry().GetHistogram(
+        "drain.sim_ticks", ScopedPhaseTimer::SimTicksBounds());
+    EXPECT_EQ(h->count(), 1u);
+    EXPECT_DOUBLE_EQ(h->sum(), 30.0);
+    const TraceSpan& phase = tracer.spans().back();
+    EXPECT_EQ(phase.kind, TraceSpanKind::kPhase);
+    EXPECT_EQ(phase.name, "drain");
+    EXPECT_EQ(phase.parent_span_id, root.span_id);
+    EXPECT_EQ(phase.start, 0);
+    EXPECT_EQ(phase.end, 30);
+  });
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "obs/tracer.h"
+
 namespace snapq {
 namespace {
 
@@ -175,6 +177,97 @@ TEST(SimulatorTest, DeterministicAcrossRuns) {
   EXPECT_EQ(run(9), run(9));
   // Not a hard guarantee, but overwhelmingly likely for 200 Bernoulli draws:
   EXPECT_NE(run(9), run(10));
+}
+
+// Radio events as the causal tracer records them: every transmission sent
+// under a sampled context becomes one message span whose deliveries list
+// each receiver's outcome.
+
+/// The message spans of `type`, in send order.
+std::vector<const obs::TraceSpan*> MessageSpans(const obs::Tracer& tracer,
+                                                MessageType type) {
+  std::vector<const obs::TraceSpan*> out;
+  for (const obs::TraceSpan& span : tracer.spans()) {
+    if (span.kind == obs::TraceSpanKind::kMessage && span.msg_type == type) {
+      out.push_back(&span);
+    }
+  }
+  return out;
+}
+
+/// Sends `msg` under a freshly minted trace root.
+void SendTraced(Simulator& sim, const Message& msg) {
+  const TraceContext root =
+      sim.MintTraceRoot(obs::TraceRootKind::kQuery, msg.from);
+  ASSERT_TRUE(root.sampled());
+  Simulator::TraceScope scope(sim, root);
+  sim.Send(msg);
+}
+
+TEST(SimulatorTraceTest, RecordsSendsDeliveriesAndLosses) {
+  Simulator sim = MakeLine(1.0);
+  obs::Tracer tracer;
+  sim.SetTracer(&tracer);
+  sim.mutable_links().SetLinkLoss(1, 2, 1.0);
+  SendTraced(sim, DataMsg(1, 1.0));
+  sim.RunAll();
+
+  // One send; the copy to node 0 is delivered, the one to node 2 lost.
+  const auto sends = MessageSpans(tracer, MessageType::kData);
+  ASSERT_EQ(sends.size(), 1u);
+  EXPECT_EQ(sends[0]->node, 1u);
+  const std::vector<obs::TraceDelivery>& outcomes = sends[0]->deliveries;
+  ASSERT_EQ(outcomes.size(), 2u);
+  size_t delivered = 0, lost = 0;
+  for (const obs::TraceDelivery& d : outcomes) {
+    if (d.outcome == RadioEventKind::kDeliver) {
+      ++delivered;
+      EXPECT_EQ(d.node, 0u);
+    } else {
+      ASSERT_EQ(d.outcome, RadioEventKind::kLoss);
+      ++lost;
+      EXPECT_EQ(d.node, 2u);
+    }
+  }
+  EXPECT_EQ(delivered, 1u);
+  EXPECT_EQ(lost, 1u);
+}
+
+TEST(SimulatorTraceTest, SnoopedDeliveriesTaggedSeparately) {
+  SimConfig config;
+  config.snoop_probability = 1.0;
+  Simulator sim = MakeLine(5.0, config);
+  obs::Tracer tracer;
+  sim.SetTracer(&tracer);
+  Message m = DataMsg(0, 1.0, /*to=*/1);
+  m.type = MessageType::kHeartbeat;
+  SendTraced(sim, m);
+  sim.RunAll();
+
+  const auto sends = MessageSpans(tracer, MessageType::kHeartbeat);
+  ASSERT_EQ(sends.size(), 1u);
+  const std::vector<obs::TraceDelivery>& outcomes = sends[0]->deliveries;
+  ASSERT_EQ(outcomes.size(), 2u);
+  for (const obs::TraceDelivery& d : outcomes) {
+    // The addressee gets the delivery, its in-range neighbor the snoop.
+    EXPECT_EQ(d.outcome, d.node == 1 ? RadioEventKind::kDeliver
+                                     : RadioEventKind::kSnoop)
+        << "node " << d.node;
+  }
+}
+
+TEST(SimulatorTraceTest, DetachStopsRecording) {
+  Simulator sim = MakeLine(1.0);
+  obs::Tracer tracer;
+  sim.SetTracer(&tracer);
+  const TraceContext root =
+      sim.MintTraceRoot(obs::TraceRootKind::kQuery, 0);
+  Simulator::TraceScope scope(sim, root);
+  sim.Send(DataMsg(0, 1.0));
+  sim.SetTracer(nullptr);
+  sim.Send(DataMsg(0, 2.0));
+  sim.RunAll();
+  EXPECT_EQ(MessageSpans(tracer, MessageType::kData).size(), 1u);
 }
 
 }  // namespace

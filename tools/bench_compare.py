@@ -26,8 +26,9 @@ together.
 """
 
 import argparse
-import json
 import sys
+
+from sidecar_schema import check_fields, is_number, load_or_exit
 
 SCHEMA_VERSION = 1
 
@@ -40,34 +41,12 @@ TOP_FIELDS = {"schema_version": int, "git_sha": str, "timestamp": str,
               "driver_repetitions": int, "benchmarks": list}
 
 
-def _is_number(value, want):
-    # ints are acceptable where floats are expected (JSON has one number
-    # type); bool is a subclass of int in Python and never acceptable.
-    if isinstance(value, bool):
-        return want is bool
-    if want is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, want)
-
-
-def _check_fields(obj, fields, where, errors):
-    for key, want in fields.items():
-        if key not in obj:
-            errors.append(f"{where}: missing field '{key}'")
-        elif not _is_number(obj[key], want):
-            errors.append(f"{where}: field '{key}' is "
-                          f"{type(obj[key]).__name__}, wanted {want.__name__}")
-    for key in obj:
-        if key not in fields:
-            errors.append(f"{where}: unknown field '{key}'")
-
-
 def validate(report, path, min_benchmarks):
     """Returns a list of schema-violation strings (empty = valid)."""
     errors = []
     if not isinstance(report, dict):
         return [f"{path}: top level is not an object"]
-    _check_fields(report, TOP_FIELDS, path, errors)
+    check_fields(report, TOP_FIELDS, path, errors)
     if report.get("schema_version") != SCHEMA_VERSION:
         errors.append(f"{path}: schema_version "
                       f"{report.get('schema_version')!r} != {SCHEMA_VERSION}")
@@ -81,27 +60,27 @@ def validate(report, path, min_benchmarks):
             if not isinstance(b, dict):
                 errors.append(f"{where}: benchmark entry is not an object")
                 continue
-            _check_fields(b, {"name": str, "wall_ms": dict, "cpu_ms": dict,
-                              "counters": dict, "throughput": dict,
-                              "latency_us": dict, "peak_rss_kb": int},
-                          where, errors)
+            check_fields(b, {"name": str, "wall_ms": dict, "cpu_ms": dict,
+                             "counters": dict, "throughput": dict,
+                             "latency_us": dict, "peak_rss_kb": int},
+                         where, errors)
             for key in ("wall_ms", "cpu_ms"):
                 if isinstance(b.get(key), dict):
-                    _check_fields(b[key], SUMMARY_FIELDS, f"{where}.{key}",
-                                  errors)
+                    check_fields(b[key], SUMMARY_FIELDS, f"{where}.{key}",
+                                 errors)
             for key, value in b.get("counters", {}).items() \
                     if isinstance(b.get("counters"), dict) else []:
-                if not _is_number(value, int):
+                if not is_number(value, int):
                     errors.append(f"{where}.counters.{key}: not an integer")
             for key, value in b.get("throughput", {}).items() \
                     if isinstance(b.get("throughput"), dict) else []:
-                if not _is_number(value, float):
+                if not is_number(value, float):
                     errors.append(f"{where}.throughput.{key}: not a number")
             for key, value in b.get("latency_us", {}).items() \
                     if isinstance(b.get("latency_us"), dict) else []:
                 if isinstance(value, dict):
-                    _check_fields(value, LATENCY_FIELDS,
-                                  f"{where}.latency_us.{key}", errors)
+                    check_fields(value, LATENCY_FIELDS,
+                                 f"{where}.latency_us.{key}", errors)
                 else:
                     errors.append(f"{where}.latency_us.{key}: not an object")
     return errors
@@ -183,21 +162,6 @@ def compare(base, cur, args):
     return regressions, notes
 
 
-def load(path, min_benchmarks):
-    try:
-        with open(path, encoding="utf-8") as f:
-            report = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"error: cannot read {path}: {e}", file=sys.stderr)
-        sys.exit(2)
-    errors = validate(report, path, min_benchmarks)
-    if errors:
-        for e in errors:
-            print(f"schema error: {e}", file=sys.stderr)
-        sys.exit(2)
-    return report
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", help="baseline BENCH.json (or the only "
@@ -221,10 +185,13 @@ def main():
                         help="%% peak-RSS growth tolerated (default 15)")
     args = parser.parse_args()
 
+    def check(path):
+        return lambda report: validate(report, path, args.min_benchmarks)
+
     if args.validate:
         if args.current:
             parser.error("--validate takes a single file")
-        report = load(args.baseline, args.min_benchmarks)
+        report = load_or_exit(args.baseline, check(args.baseline))
         print(f"{args.baseline}: valid (schema {SCHEMA_VERSION}, "
               f"{len(report['benchmarks'])} benchmarks, "
               f"git {report['git_sha']})")
@@ -232,8 +199,8 @@ def main():
 
     if not args.current:
         parser.error("need BASELINE and CURRENT (or --validate)")
-    base = load(args.baseline, args.min_benchmarks)
-    cur = load(args.current, args.min_benchmarks)
+    base = load_or_exit(args.baseline, check(args.baseline))
+    cur = load_or_exit(args.current, check(args.current))
 
     regressions, notes = compare(base, cur, args)
     for n in notes:

@@ -27,6 +27,8 @@ import math
 import os
 import sys
 
+from sidecar_schema import is_number, read_json
+
 SCHEMA_VERSION = 1
 KIND = "snapq-energymap"
 
@@ -42,10 +44,6 @@ GRID_W = 24
 GRID_H = 12
 
 
-def _num(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _check_cause_object(obj, where, errors):
     if not isinstance(obj, dict):
         errors.append(f"{where}: not an object")
@@ -54,7 +52,7 @@ def _check_cause_object(obj, where, errors):
         errors.append(f"{where}: keys {list(obj.keys())} != {CAUSES}")
         return
     for key, value in obj.items():
-        if not _num(value):
+        if not is_number(value, float):
             errors.append(f"{where}.{key}: not a number")
 
 
@@ -88,12 +86,12 @@ def validate(doc):
     num_nodes = field("num_nodes", lambda v: isinstance(v, int) and v >= 0,
                       "a non-negative int")
     field("unlimited", lambda v: isinstance(v, bool), "a bool")
-    field("initial_battery", _num, "a number")
+    field("initial_battery", lambda v: is_number(v, float), "a number")
 
     totals = field("totals", lambda v: isinstance(v, dict), "an object")
     if totals is not None:
         for key in ("drained", "remaining"):
-            if not _num(totals.get(key)):
+            if not is_number(totals.get(key), float):
                 errors.append(f"totals.{key}: not a number")
         if not isinstance(totals.get("deaths"), int):
             errors.append("totals.deaths: not an int")
@@ -108,13 +106,13 @@ def validate(doc):
     forecast = field("forecast", lambda v: isinstance(v, dict), "an object")
     if forecast is not None:
         for key in ("first_death_tick", "coverage_knee_tick"):
-            if not _num(forecast.get(key)):
+            if not is_number(forecast.get(key), float):
                 errors.append(f"forecast.{key}: not a number")
 
     extras = field("extras", lambda v: isinstance(v, dict), "an object")
     if extras is not None:
         for key, value in extras.items():
-            if not _num(value):
+            if not is_number(value, float):
                 errors.append(f"extras.{key}: not a number")
 
     nodes = field("nodes", lambda v: isinstance(v, list), "a list")
@@ -129,7 +127,7 @@ def validate(doc):
             if row["id"] != i:
                 errors.append(f"nodes[{i}]: id {row['id']} out of order")
             for key in ("x", "y", "remaining", "drained"):
-                if not _num(row[key]):
+                if not is_number(row[key], float):
                     errors.append(f"nodes[{i}].{key}: not a number")
             if not isinstance(row["deaths"], int):
                 errors.append(f"nodes[{i}].deaths: not an int")
@@ -251,22 +249,17 @@ def main():
                         help="emit a machine-readable verdict")
     args = parser.parse_args()
 
-    try:
-        with open(args.map) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"error: cannot read {args.map}: {err}", file=sys.stderr)
+    doc, err = read_json(args.map)
+    if err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
 
     errors = validate(doc)
     failures, checked = [], 0
     if not errors and args.baseline:
-        try:
-            with open(args.baseline) as f:
-                baseline = json.load(f)
-        except (OSError, json.JSONDecodeError) as err:
-            print(f"error: cannot read {args.baseline}: {err}",
-                  file=sys.stderr)
+        baseline, err = read_json(args.baseline)
+        if err:
+            print(f"error: {err}", file=sys.stderr)
             return 2
         failures, checked = gate_against_baseline(doc, baseline)
 
