@@ -1,9 +1,9 @@
 #include "obs/json.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 namespace snapq::obs {
 
@@ -57,323 +57,203 @@ std::string JsonNumber(double value) {
 
 namespace {
 
-/// Cursor over the input; all Parse* helpers advance it past what they
-/// consumed and return false on malformed input.
-struct Cursor {
-  std::string_view text;
-  size_t pos = 0;
+/// Nesting deeper than this is rejected, guarding the recursion against
+/// stack exhaustion on adversarial input.
+constexpr int kMaxDepth = 64;
 
-  void SkipSpace() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-  bool AtEnd() const { return pos >= text.size(); }
-  char Peek() const { return text[pos]; }
-  bool Consume(char c) {
-    if (AtEnd() || text[pos] != c) return false;
-    ++pos;
-    return true;
-  }
-  bool ConsumeWord(std::string_view word) {
-    if (text.substr(pos, word.size()) != word) return false;
-    pos += word.size();
-    return true;
-  }
-};
+// Every Scan* helper starts at text[i], advances `i` past what it consumed
+// and returns false on input outside the JSON grammar (RFC 8259).
 
-bool ParseString(Cursor& c, std::string* out) {
-  if (!c.Consume('"')) return false;
-  out->clear();
-  while (!c.AtEnd()) {
-    const char ch = c.text[c.pos++];
-    if (ch == '"') return true;
-    if (ch != '\\') {
-      *out += ch;
-      continue;
-    }
-    if (c.AtEnd()) return false;
-    const char esc = c.text[c.pos++];
-    switch (esc) {
-      case '"':
-        *out += '"';
-        break;
-      case '\\':
-        *out += '\\';
-        break;
-      case '/':
-        *out += '/';
-        break;
-      case 'n':
-        *out += '\n';
-        break;
-      case 'r':
-        *out += '\r';
-        break;
-      case 't':
-        *out += '\t';
-        break;
-      case 'u': {
-        if (c.pos + 4 > c.text.size()) return false;
-        unsigned code = 0;
-        for (int i = 0; i < 4; ++i) {
-          const char h = c.text[c.pos++];
-          code <<= 4;
-          if (h >= '0' && h <= '9') {
-            code |= static_cast<unsigned>(h - '0');
-          } else if (h >= 'a' && h <= 'f') {
-            code |= static_cast<unsigned>(h - 'a' + 10);
-          } else if (h >= 'A' && h <= 'F') {
-            code |= static_cast<unsigned>(h - 'A' + 10);
-          } else {
-            return false;
+void SkipSpace(std::string_view text, size_t& i) {
+  while (i < text.size() && (text[i] == ' ' || text[i] == '\t' ||
+                             text[i] == '\n' || text[i] == '\r')) {
+    ++i;
+  }
+}
+
+bool Consume(std::string_view text, size_t& i, std::string_view token) {
+  if (text.substr(i, token.size()) != token) return false;
+  i += token.size();
+  return true;
+}
+
+size_t SkipDigits(std::string_view text, size_t& i) {
+  const size_t start = i;
+  while (i < text.size() && text[i] >= '0' && text[i] <= '9') ++i;
+  return i - start;
+}
+
+int HexDigit(char h) {
+  if (h >= '0' && h <= '9') return h - '0';
+  if (h >= 'a' && h <= 'f') return h - 'a' + 10;
+  if (h >= 'A' && h <= 'F') return h - 'A' + 10;
+  return -1;
+}
+
+/// Scans a string literal, decoding it into `out` when non-null. Our
+/// writers only escape control characters, so a \u escape outside ASCII
+/// decodes to '?' to keep the reader simple.
+bool ScanString(std::string_view text, size_t& i, std::string* out) {
+  if (!Consume(text, i, "\"")) return false;
+  if (out != nullptr) out->clear();
+  while (i < text.size()) {
+    char c = text[i++];
+    if (c == '"') return true;
+    if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
+    if (c == '\\') {
+      if (i >= text.size()) return false;
+      switch (const char esc = text[i++]) {
+        case '"':
+        case '\\':
+        case '/':
+          c = esc;
+          break;
+        case 'b':
+          c = '\b';
+          break;
+        case 'f':
+          c = '\f';
+          break;
+        case 'n':
+          c = '\n';
+          break;
+        case 'r':
+          c = '\r';
+          break;
+        case 't':
+          c = '\t';
+          break;
+        case 'u': {
+          if (text.size() - i < 4) return false;
+          unsigned code = 0;
+          for (int k = 0; k < 4; ++k) {
+            const int h = HexDigit(text[i++]);
+            if (h < 0) return false;
+            code = (code << 4) | static_cast<unsigned>(h);
           }
+          c = code < 0x80 ? static_cast<char>(code) : '?';
+          break;
         }
-        // Our writers only escape control characters; anything else in the
-        // BMP is passed through as a replacement to keep the parser simple.
-        *out += code < 0x80 ? static_cast<char>(code) : '?';
-        break;
+        default:
+          return false;
       }
-      default:
-        return false;
     }
+    if (out != nullptr) *out += c;
   }
   return false;  // unterminated
 }
 
-bool ParseValue(Cursor& c, JsonValue* out) {
-  c.SkipSpace();
-  if (c.AtEnd()) return false;
-  const char ch = c.Peek();
-  if (ch == '"') {
-    out->kind = JsonValue::Kind::kString;
-    return ParseString(c, &out->string);
+/// Scans a number (no '+', leading zeros, inf or nan), storing its value
+/// in `out` when non-null.
+bool ScanNumber(std::string_view text, size_t& i, double* out) {
+  const size_t start = i;
+  Consume(text, i, "-");
+  const size_t int_start = i;
+  const size_t digits = SkipDigits(text, i);
+  if (digits == 0 || (digits > 1 && text[int_start] == '0')) return false;
+  if (Consume(text, i, ".") && SkipDigits(text, i) == 0) return false;
+  if (Consume(text, i, "e") || Consume(text, i, "E")) {
+    if (!Consume(text, i, "+")) Consume(text, i, "-");
+    if (SkipDigits(text, i) == 0) return false;
   }
-  if (ch == 't') {
-    out->kind = JsonValue::Kind::kBool;
-    out->boolean = true;
-    return c.ConsumeWord("true");
+  if (out != nullptr) {
+    *out = std::strtod(std::string(text.substr(start, i - start)).c_str(),
+                       nullptr);
   }
-  if (ch == 'f') {
-    out->kind = JsonValue::Kind::kBool;
-    out->boolean = false;
-    return c.ConsumeWord("false");
-  }
-  if (ch == 'n') {
-    out->kind = JsonValue::Kind::kNull;
-    return c.ConsumeWord("null");
-  }
-  // Number: delegate to strtod over the remaining text.
-  const std::string rest(c.text.substr(c.pos));
-  char* end = nullptr;
-  const double v = std::strtod(rest.c_str(), &end);
-  if (end == rest.c_str()) return false;
-  c.pos += static_cast<size_t>(end - rest.c_str());
-  out->kind = JsonValue::Kind::kNumber;
-  out->number = v;
   return true;
+}
+
+/// Scans a string, number, bool or null, storing it in `out` when
+/// non-null. Containers are rejected.
+bool ScanScalar(std::string_view text, size_t& i, JsonValue* out) {
+  JsonValue ignored;
+  JsonValue& value = out != nullptr ? *out : ignored;
+  if (i >= text.size()) return false;
+  switch (text[i]) {
+    case '"':
+      value.kind = JsonValue::Kind::kString;
+      return ScanString(text, i, out != nullptr ? &value.string : nullptr);
+    case 't':
+      value.kind = JsonValue::Kind::kBool;
+      value.boolean = true;
+      return Consume(text, i, "true");
+    case 'f':
+      value.kind = JsonValue::Kind::kBool;
+      value.boolean = false;
+      return Consume(text, i, "false");
+    case 'n':
+      value.kind = JsonValue::Kind::kNull;
+      return Consume(text, i, "null");
+    default:
+      value.kind = JsonValue::Kind::kNumber;
+      return ScanNumber(text, i, out != nullptr ? &value.number : nullptr);
+  }
+}
+
+/// Scans an object, decoding each key into `key` when non-null and then
+/// calling `scan_value()` to scan the member's value.
+template <typename ScanMemberValue>
+bool ScanObject(std::string_view text, size_t& i, std::string* key,
+                ScanMemberValue scan_value) {
+  if (!Consume(text, i, "{")) return false;
+  SkipSpace(text, i);
+  if (Consume(text, i, "}")) return true;
+  while (true) {
+    SkipSpace(text, i);
+    if (!ScanString(text, i, key)) return false;
+    SkipSpace(text, i);
+    if (!Consume(text, i, ":")) return false;
+    SkipSpace(text, i);
+    if (!scan_value()) return false;
+    SkipSpace(text, i);
+    if (Consume(text, i, "}")) return true;
+    if (!Consume(text, i, ",")) return false;
+  }
+}
+
+/// Syntax check of any value, containers included.
+bool ScanValue(std::string_view text, size_t& i, int depth) {
+  if (depth > kMaxDepth) return false;
+  SkipSpace(text, i);
+  if (i >= text.size()) return false;
+  if (text[i] == '{') {
+    return ScanObject(text, i, nullptr,
+                      [&] { return ScanValue(text, i, depth + 1); });
+  }
+  if (!Consume(text, i, "[")) return ScanScalar(text, i, nullptr);
+  SkipSpace(text, i);
+  if (Consume(text, i, "]")) return true;
+  while (true) {
+    if (!ScanValue(text, i, depth + 1)) return false;
+    SkipSpace(text, i);
+    if (Consume(text, i, "]")) return true;
+    if (!Consume(text, i, ",")) return false;
+  }
 }
 
 }  // namespace
 
 std::optional<std::map<std::string, JsonValue>> ParseFlatJsonObject(
     std::string_view text) {
-  Cursor c{text};
-  c.SkipSpace();
-  if (!c.Consume('{')) return std::nullopt;
   std::map<std::string, JsonValue> out;
-  c.SkipSpace();
-  if (c.Consume('}')) {
-    c.SkipSpace();
-    return c.AtEnd() ? std::optional(out) : std::nullopt;
-  }
-  while (true) {
-    c.SkipSpace();
-    std::string key;
-    if (!ParseString(c, &key)) return std::nullopt;
-    c.SkipSpace();
-    if (!c.Consume(':')) return std::nullopt;
+  std::string key;
+  size_t i = 0;
+  SkipSpace(text, i);
+  const bool ok = ScanObject(text, i, &key, [&] {
     JsonValue value;
-    if (!ParseValue(c, &value)) return std::nullopt;
-    out[std::move(key)] = std::move(value);
-    c.SkipSpace();
-    if (c.Consume(',')) continue;
-    if (c.Consume('}')) break;
-    return std::nullopt;
-  }
-  c.SkipSpace();
-  if (!c.AtEnd()) return std::nullopt;
+    if (!ScanScalar(text, i, &value)) return false;
+    out[key] = std::move(value);
+    return true;
+  });
+  SkipSpace(text, i);
+  if (!ok || i != text.size()) return std::nullopt;
   return out;
 }
 
-namespace {
-
-/// Recursive-descent syntax check over the full JSON grammar. `depth`
-/// guards against stack exhaustion on adversarial input.
-bool CheckValue(std::string_view text, size_t& i, int depth);
-
-bool CheckSpace(std::string_view text, size_t& i) {
-  while (i < text.size() &&
-         (text[i] == ' ' || text[i] == '\t' || text[i] == '\n' ||
-          text[i] == '\r')) {
-    ++i;
-  }
-  return true;
-}
-
-bool CheckLiteral(std::string_view text, size_t& i, std::string_view lit) {
-  if (text.substr(i, lit.size()) != lit) return false;
-  i += lit.size();
-  return true;
-}
-
-bool CheckString(std::string_view text, size_t& i) {
-  if (i >= text.size() || text[i] != '"') return false;
-  ++i;
-  while (i < text.size()) {
-    const char c = text[i];
-    if (c == '"') {
-      ++i;
-      return true;
-    }
-    if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
-    if (c == '\\') {
-      ++i;
-      if (i >= text.size()) return false;
-      const char esc = text[i];
-      if (esc == 'u') {
-        if (i + 4 >= text.size()) return false;
-        for (int k = 1; k <= 4; ++k) {
-          const char h = text[i + static_cast<size_t>(k)];
-          const bool hex = (h >= '0' && h <= '9') || (h >= 'a' && h <= 'f') ||
-                           (h >= 'A' && h <= 'F');
-          if (!hex) return false;
-        }
-        i += 4;
-      } else if (esc != '"' && esc != '\\' && esc != '/' && esc != 'b' &&
-                 esc != 'f' && esc != 'n' && esc != 'r' && esc != 't') {
-        return false;
-      }
-    }
-    ++i;
-  }
-  return false;  // unterminated
-}
-
-bool CheckNumber(std::string_view text, size_t& i) {
-  const size_t start = i;
-  if (i < text.size() && text[i] == '-') ++i;
-  size_t digits = 0;
-  while (i < text.size() && text[i] >= '0' && text[i] <= '9') {
-    ++i;
-    ++digits;
-  }
-  if (digits == 0) return false;
-  if (digits > 1 && text[start + (text[start] == '-' ? 1u : 0u)] == '0') {
-    return false;  // leading zero
-  }
-  if (i < text.size() && text[i] == '.') {
-    ++i;
-    size_t frac = 0;
-    while (i < text.size() && text[i] >= '0' && text[i] <= '9') {
-      ++i;
-      ++frac;
-    }
-    if (frac == 0) return false;
-  }
-  if (i < text.size() && (text[i] == 'e' || text[i] == 'E')) {
-    ++i;
-    if (i < text.size() && (text[i] == '+' || text[i] == '-')) ++i;
-    size_t exp = 0;
-    while (i < text.size() && text[i] >= '0' && text[i] <= '9') {
-      ++i;
-      ++exp;
-    }
-    if (exp == 0) return false;
-  }
-  return true;
-}
-
-bool CheckObject(std::string_view text, size_t& i, int depth) {
-  ++i;  // consume '{'
-  CheckSpace(text, i);
-  if (i < text.size() && text[i] == '}') {
-    ++i;
-    return true;
-  }
-  while (true) {
-    CheckSpace(text, i);
-    if (!CheckString(text, i)) return false;
-    CheckSpace(text, i);
-    if (i >= text.size() || text[i] != ':') return false;
-    ++i;
-    if (!CheckValue(text, i, depth)) return false;
-    CheckSpace(text, i);
-    if (i >= text.size()) return false;
-    if (text[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (text[i] == '}') {
-      ++i;
-      return true;
-    }
-    return false;
-  }
-}
-
-bool CheckArray(std::string_view text, size_t& i, int depth) {
-  ++i;  // consume '['
-  CheckSpace(text, i);
-  if (i < text.size() && text[i] == ']') {
-    ++i;
-    return true;
-  }
-  while (true) {
-    if (!CheckValue(text, i, depth)) return false;
-    CheckSpace(text, i);
-    if (i >= text.size()) return false;
-    if (text[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (text[i] == ']') {
-      ++i;
-      return true;
-    }
-    return false;
-  }
-}
-
-bool CheckValue(std::string_view text, size_t& i, int depth) {
-  if (depth > 64) return false;
-  CheckSpace(text, i);
-  if (i >= text.size()) return false;
-  switch (text[i]) {
-    case '{':
-      return CheckObject(text, i, depth + 1);
-    case '[':
-      return CheckArray(text, i, depth + 1);
-    case '"':
-      return CheckString(text, i);
-    case 't':
-      return CheckLiteral(text, i, "true");
-    case 'f':
-      return CheckLiteral(text, i, "false");
-    case 'n':
-      return CheckLiteral(text, i, "null");
-    default:
-      return CheckNumber(text, i);
-  }
-}
-
-}  // namespace
-
 bool ValidateJson(std::string_view text) {
   size_t i = 0;
-  if (!CheckValue(text, i, 0)) return false;
-  CheckSpace(text, i);
+  if (!ScanValue(text, i, 0)) return false;
+  SkipSpace(text, i);
   return i == text.size();
 }
 

@@ -107,61 +107,15 @@ QueryResult QueryExecutor::ExecuteRegion(const Rect& region,
   phase_timer.AttachTrace(sim_->tracer(), qroot);
   phase_timer.BeginSim(sim_->now());
   Simulator::TraceScope trace_scope(*sim_, qroot);
+  const RoundPlan plan = PlanRound(region, use_snapshot, options);
   QueryResult result;
-
-  // Coverage denominator: every placed node matching the predicate (dead
-  // included — an infinite-battery network would have heard them all).
-  std::vector<bool> matching(n, false);
-  for (NodeId i = 0; i < n; ++i) {
-    if (region.Contains(sim_->links().position(i))) {
-      matching[i] = true;
-      ++result.matching_nodes;
-    }
-  }
-
-  std::vector<bool> alive(n, false);
-  for (NodeId i = 0; i < n; ++i) {
-    alive[i] = sim_->alive(i);
-    if (use_snapshot && options.passive_nodes_sleep && i != options.sink &&
-        (*agents_)[i]->mode() == NodeMode::kPassive) {
-      alive[i] = false;  // sleeping: neither responds nor routes
-    }
-  }
-
-  std::vector<bool> favor;
-  const std::vector<bool>* favor_ptr = nullptr;
-  if (options.favor_representatives) {
-    favor.assign(n, false);
-    for (NodeId i = 0; i < n; ++i) {
-      favor[i] = (*agents_)[i]->mode() == NodeMode::kActive;
-    }
-    favor_ptr = &favor;
-  }
-  const RoutingTree tree =
-      RoutingTree::Build(sim_->links(), alive, options.sink, favor_ptr);
-
-  const std::vector<NodeId> responders =
-      CollectResponders(region, use_snapshot);
-
-  // Participants: responders that can reach the sink, plus the routers on
-  // their paths (the paper counts routing nodes as participants).
-  std::vector<bool> participates(n, false);
-  std::vector<NodeId> reachable_responders;
-  for (NodeId r : responders) {
-    if (!tree.IsReachable(r)) continue;  // never hears the request
-    reachable_responders.push_back(r);
-    for (NodeId on_path : tree.PathToSink(r)) {
-      participates[on_path] = true;
-    }
-  }
-  for (NodeId i = 0; i < n; ++i) {
-    if (participates[i]) ++result.participants;
-  }
-  result.responders = reachable_responders.size();
+  result.matching_nodes = plan.matching_nodes;
+  result.participants = plan.participants;
+  result.responders = plan.reachable_responders.size();
   if (qroot.sampled()) {
     // One instant per responder; `value` flags a PASSIVE responder, which
     // breaks the snapshot invariant (representatives answer for members).
-    for (NodeId r : reachable_responders) {
+    for (NodeId r : plan.reachable_responders) {
       const bool passive = (*agents_)[r]->mode() == NodeMode::kPassive;
       sim_->tracer()->RecordInstant(qroot, "query.respond", r, sim_->now(),
                                     passive ? 1 : 0);
@@ -178,31 +132,28 @@ QueryResult QueryExecutor::ExecuteRegion(const Rect& region,
   reg.GetHistogram("query.responders", node_buckets)
       ->Observe(static_cast<double>(result.responders));
 
-  // kQueryReply transmissions this round induces: one per participant, the
-  // sink excluded (it hands the result to the base station radio-free).
-  const size_t replies =
-      result.participants - (participates[options.sink] ? 1u : 0u);
-
   if (options.charge_energy) {
     // One transmission per participant: its partial aggregate / row batch
     // sent one hop up the tree. Attributed per node in the registry so
     // Fig-10-style runs can split election vs maintenance vs query drain.
     const double tx = sim_->config().energy.tx_cost;
     for (NodeId i = 0; i < n; ++i) {
-      if (!participates[i] || i == options.sink) continue;
+      if (!plan.participates[i] || i == options.sink) continue;
       // DrainAs lands the joules in the energy ledger's kQueryReply/tx
       // cell, matching the CountSent attribution below.
       sim_->DrainAs(i, tx, MessageType::kQueryReply);
       sim_->metrics().CountSent(MessageType::kQueryReply);
       reg.GetCounter("query.energy.tx", i)->Inc();
     }
-    reg.GetGauge("query.energy.drained")->Add(tx * static_cast<double>(replies));
+    reg.GetGauge("query.energy.drained")
+        ->Add(tx * static_cast<double>(plan.replies));
   }
 
   // Collect measurements, deduplicating multiple claims per node by latest
   // election epoch (spurious-representative filtering, §3).
   std::map<NodeId, QueryClaim> claims;
-  CollectClaims(use_snapshot, reachable_responders, matching, &claims);
+  CollectClaims(use_snapshot, plan.reachable_responders, plan.matching,
+                &claims);
 
   result.covered_nodes = claims.size();
   result.coverage =
@@ -260,7 +211,7 @@ QueryResult QueryExecutor::ExecuteRegion(const Rect& region,
     result.aggregate = agg.Finalize();
     PartialAggregate truth(aggregate);
     for (NodeId i = 0; i < n; ++i) {
-      if (matching[i]) truth.AddValue((*agents_)[i]->measurement());
+      if (plan.matching[i]) truth.AddValue((*agents_)[i]->measurement());
     }
     result.true_aggregate = truth.Finalize();
   } else {
@@ -275,23 +226,8 @@ QueryResult QueryExecutor::ExecuteRegion(const Rect& region,
   }
 
   if (options.provenance != nullptr) {
-    QueryProvenance& prov = *options.provenance;
-    prov.matching_nodes = result.matching_nodes;
-    prov.responders = result.responders;
-    prov.participants = result.participants;
-    prov.reachable_nodes = tree.CountReachable();
-    prov.messages = replies;
-    prov.energy = options.charge_energy
-                      ? sim_->config().energy.tx_cost *
-                            static_cast<double>(replies)
-                      : 0.0;
-    prov.tree_depth = -1;
-    for (NodeId r : reachable_responders) {
-      prov.tree_depth = std::max(prov.tree_depth, tree.depth(r));
-    }
-    prov.claims = std::move(claims);
-    prov.depth.assign(n, -1);
-    for (NodeId i = 0; i < n; ++i) prov.depth[i] = tree.depth(i);
+    FillProvenance(plan, options, options.provenance);
+    options.provenance->claims = std::move(claims);
   }
 
   phase_timer.EndSim(sim_->now());
@@ -323,30 +259,18 @@ void QueryExecutor::CollectClaims(bool use_snapshot,
   }
 }
 
-QueryProvenance QueryExecutor::PlanRegion(
+QueryExecutor::RoundPlan QueryExecutor::PlanRound(
     const Rect& region, bool use_snapshot,
     const ExecutionOptions& options) const {
   const size_t n = agents_->size();
   SNAPQ_CHECK_LT(options.sink, n);
-  QueryProvenance plan;
 
-  std::vector<bool> matching(n, false);
-  for (NodeId i = 0; i < n; ++i) {
-    if (region.Contains(sim_->links().position(i))) {
-      matching[i] = true;
-      ++plan.matching_nodes;
-    }
-  }
-
-  // Mirror ExecuteRegion's participation model exactly: the estimate and
-  // the actuals must only diverge when the snapshot state itself changes
-  // between planning and execution.
   std::vector<bool> alive(n, false);
   for (NodeId i = 0; i < n; ++i) {
     alive[i] = sim_->alive(i);
     if (use_snapshot && options.passive_nodes_sleep && i != options.sink &&
         (*agents_)[i]->mode() == NodeMode::kPassive) {
-      alive[i] = false;
+      alive[i] = false;  // sleeping: neither responds nor routes
     }
   }
   std::vector<bool> favor;
@@ -358,37 +282,67 @@ QueryProvenance QueryExecutor::PlanRegion(
     }
     favor_ptr = &favor;
   }
-  const RoutingTree tree =
-      RoutingTree::Build(sim_->links(), alive, options.sink, favor_ptr);
+  RoundPlan plan(
+      RoutingTree::Build(sim_->links(), alive, options.sink, favor_ptr));
 
-  const std::vector<NodeId> responders =
-      CollectResponders(region, use_snapshot);
-  std::vector<bool> participates(n, false);
-  std::vector<NodeId> reachable_responders;
-  for (NodeId r : responders) {
-    if (!tree.IsReachable(r)) continue;
-    reachable_responders.push_back(r);
-    plan.tree_depth = std::max(plan.tree_depth, tree.depth(r));
-    for (NodeId on_path : tree.PathToSink(r)) {
-      participates[on_path] = true;
+  // Coverage denominator: every placed node matching the predicate (dead
+  // included — an infinite-battery network would have heard them all).
+  plan.matching.assign(n, false);
+  for (NodeId i = 0; i < n; ++i) {
+    if (region.Contains(sim_->links().position(i))) {
+      plan.matching[i] = true;
+      ++plan.matching_nodes;
+    }
+  }
+
+  // Participants: responders that can reach the sink, plus the routers on
+  // their paths (the paper counts routing nodes as participants).
+  plan.participates.assign(n, false);
+  for (NodeId r : CollectResponders(region, use_snapshot)) {
+    if (!plan.tree.IsReachable(r)) continue;  // never hears the request
+    plan.reachable_responders.push_back(r);
+    for (NodeId on_path : plan.tree.PathToSink(r)) {
+      plan.participates[on_path] = true;
     }
   }
   for (NodeId i = 0; i < n; ++i) {
-    if (participates[i]) ++plan.participants;
+    if (plan.participates[i]) ++plan.participants;
   }
-  plan.responders = reachable_responders.size();
-  plan.reachable_nodes = tree.CountReachable();
-  plan.messages =
-      plan.participants - (participates[options.sink] ? 1u : 0u);
-  plan.energy = options.charge_energy
-                    ? sim_->config().energy.tx_cost *
-                          static_cast<double>(plan.messages)
-                    : 0.0;
-
-  CollectClaims(use_snapshot, reachable_responders, matching, &plan.claims);
-  plan.depth.assign(n, -1);
-  for (NodeId i = 0; i < n; ++i) plan.depth[i] = tree.depth(i);
+  plan.replies =
+      plan.participants - (plan.participates[options.sink] ? 1u : 0u);
   return plan;
+}
+
+void QueryExecutor::FillProvenance(const RoundPlan& plan,
+                                   const ExecutionOptions& options,
+                                   QueryProvenance* prov) const {
+  prov->matching_nodes = plan.matching_nodes;
+  prov->responders = plan.reachable_responders.size();
+  prov->participants = plan.participants;
+  prov->reachable_nodes = plan.tree.CountReachable();
+  prov->messages = plan.replies;
+  prov->energy = options.charge_energy
+                     ? sim_->config().energy.tx_cost *
+                           static_cast<double>(plan.replies)
+                     : 0.0;
+  prov->tree_depth = -1;
+  for (NodeId r : plan.reachable_responders) {
+    prov->tree_depth = std::max(prov->tree_depth, plan.tree.depth(r));
+  }
+  const size_t n = plan.matching.size();
+  prov->depth.assign(n, -1);
+  for (NodeId i = 0; i < n; ++i) prov->depth[i] = plan.tree.depth(i);
+}
+
+QueryProvenance QueryExecutor::PlanRegion(
+    const Rect& region, bool use_snapshot,
+    const ExecutionOptions& options) const {
+  const RoundPlan plan = PlanRound(region, use_snapshot, options);
+  QueryProvenance prov;
+  FillProvenance(plan, options, &prov);
+  CollectClaims(use_snapshot, plan.reachable_responders, plan.matching,
+                &prov.claims);
+  return prov;
 }
 
 }  // namespace snapq

@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/geometry.h"
@@ -191,6 +192,30 @@ class QueryExecutor {
   }
 
  private:
+  /// What one round over a region would touch, computed from the current
+  /// snapshot state without side effects. ExecuteRegion acts on it and
+  /// PlanRegion reports it, so EXPLAIN's estimate and the actuals only
+  /// diverge when that state changes between planning and execution.
+  struct RoundPlan {
+    explicit RoundPlan(RoutingTree t) : tree(std::move(t)) {}
+    RoutingTree tree;
+    std::vector<bool> matching;  ///< per node: inside the region
+    size_t matching_nodes = 0;
+    std::vector<NodeId> reachable_responders;
+    std::vector<bool> participates;  ///< responders + routers on their paths
+    size_t participants = 0;
+    /// kQueryReply transmissions: one per participant, the sink excluded
+    /// (it hands the result to the base station radio-free).
+    size_t replies = 0;
+  };
+
+  RoundPlan PlanRound(const Rect& region, bool use_snapshot,
+                      const ExecutionOptions& options) const;
+
+  /// Fills every field of `prov` but `claims` from `plan`.
+  void FillProvenance(const RoundPlan& plan, const ExecutionOptions& options,
+                      QueryProvenance* prov) const;
+
   /// Deduplicates claims from `responders` over the matching nodes by
   /// latest election epoch (spurious-representative filtering, §3).
   void CollectClaims(bool use_snapshot,

@@ -3,19 +3,19 @@
 // increasing sequence number), which keeps whole-simulation runs
 // bit-reproducible for a given seed.
 //
-// Events carry a small-buffer-optimized action (EventQueue::Action):
-// closures up to kActionInlineBytes are stored inside the event itself,
-// so the per-message delivery hot path schedules with zero heap
-// allocations once the underlying heap vector has warmed up
+// Events carry a std::function action. The simulator's pooled delivery
+// closure is two pointers, which std::function stores in place, so the
+// per-message delivery hot path schedules with zero heap allocations once
+// the underlying heap vector has warmed up
 // (tests/sim/event_queue_alloc_test.cc pins this).
 #ifndef SNAPQ_SIM_EVENT_QUEUE_H_
 #define SNAPQ_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
+#include <functional>
 #include <queue>
 #include <vector>
 
-#include "common/inline_function.h"
 #include "net/node_id.h"
 
 namespace snapq {
@@ -23,12 +23,7 @@ namespace snapq {
 /// Priority queue of (time, seq, action) triples ordered by time then seq.
 class EventQueue {
  public:
-  /// Inline action capacity: sized so the simulator's pooled delivery
-  /// closure (two pointers) and the traced ScheduleAt wrapper
-  /// (this + TraceContext + std::function) both stay allocation-free.
-  /// Bigger captures still work — they fall back to one heap allocation.
-  static constexpr size_t kActionInlineBytes = 64;
-  using Action = InlineFunction<kActionInlineBytes>;
+  using Action = std::function<void()>;
 
   EventQueue();
 

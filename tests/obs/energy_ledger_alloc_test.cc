@@ -6,63 +6,14 @@
 // single null-pointer branch) and with one attached.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "net/energy.h"
 #include "obs/energy_ledger.h"
 #include "obs/metric_registry.h"
 #include "sim/simulator.h"
-
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align), size) == 0) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+#include "support/counting_allocator.h"
 
 namespace snapq {
 namespace {
-
-uint64_t Allocations() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
 
 constexpr int kIterations = 10000;
 
@@ -73,7 +24,7 @@ TEST(EnergyLedgerAllocTest, RecordAndUpdateGaugesNeverAllocate) {
   obs::EnergyLedger ledger(model, 100, &registry);
 
   ledger.UpdateGauges(0);  // warm-up (lazy libc machinery, if any)
-  const uint64_t before = Allocations();
+  const uint64_t before = AllocationCount();
   for (Time t = 1; t <= kIterations; ++t) {
     const NodeId node = static_cast<NodeId>(t % 100);
     ledger.RecordMessage(node, MessageType::kHeartbeat,
@@ -84,7 +35,7 @@ TEST(EnergyLedgerAllocTest, RecordAndUpdateGaugesNeverAllocate) {
     ledger.RecordDirect(node, 0.5);
     ledger.UpdateGauges(t);
   }
-  EXPECT_EQ(Allocations() - before, 0u);
+  EXPECT_EQ(AllocationCount() - before, 0u);
   EXPECT_GT(ledger.total_drained(), 0.0);
 }
 
@@ -102,14 +53,14 @@ uint64_t RunChargeSites(Simulator& sim) {
     sim.Drain(1, 0.01);
     sim.RunAll();
   }
-  const uint64_t before = Allocations();
+  const uint64_t before = AllocationCount();
   for (int i = 0; i < kIterations; ++i) {
     sim.Send(msg);
     sim.ChargeCacheOp(1);
     sim.Drain(1, 0.01);
     sim.RunAll();
   }
-  return Allocations() - before;
+  return AllocationCount() - before;
 }
 
 TEST(EnergyLedgerAllocTest, ChargeSitesAreAllocationFreeWithoutALedger) {

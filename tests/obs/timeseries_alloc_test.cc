@@ -8,73 +8,25 @@
 // string slots are warm.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 
 #include "obs/flight_recorder.h"
 #include "obs/metric_registry.h"
 #include "obs/timeseries.h"
-
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align), size) == 0) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+#include "support/counting_allocator.h"
 
 namespace snapq::obs {
 namespace {
 
-uint64_t Allocations() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
-
 TEST(TimeSeriesAllocTest, PushNeverAllocates) {
   TimeSeries series;  // rings preallocated at construction
-  const uint64_t before = Allocations();
+  const uint64_t before = AllocationCount();
   // Far past both ring capacities, through several compactions.
   for (Time t = 0; t < 100000; ++t) {
     series.Push(t, static_cast<double>(t % 97));
   }
-  EXPECT_EQ(Allocations() - before, 0u);
+  EXPECT_EQ(AllocationCount() - before, 0u);
   EXPECT_EQ(series.num_samples(), 100000u);
 }
 
@@ -92,14 +44,14 @@ TEST(TimeSeriesAllocTest, EnabledSamplingIsAllocationFree) {
   gauge->Set(1.0);
   recorder.SampleNow(0);  // warm-up (lazy libc machinery, if any)
 
-  const uint64_t before = Allocations();
+  const uint64_t before = AllocationCount();
   for (Time t = 1; t <= 10000; ++t) {
     gauge->Set(static_cast<double>(t));
     counter->Inc(3);
     probe_value = static_cast<double>(t);
     recorder.SampleNow(t);
   }
-  EXPECT_EQ(Allocations() - before, 0u);
+  EXPECT_EQ(AllocationCount() - before, 0u);
   EXPECT_EQ(recorder.num_samples(), 10001u);
   EXPECT_DOUBLE_EQ(recorder.series("c.rate")->last(), 3.0);
 }
@@ -111,9 +63,9 @@ TEST(TimeSeriesAllocTest, DisabledRecorderIsASingleBranch) {
   recorder.TrackRss();
   recorder.set_enabled(false);
 
-  const uint64_t before = Allocations();
+  const uint64_t before = AllocationCount();
   for (Time t = 0; t < 10000; ++t) recorder.SampleNow(t);
-  EXPECT_EQ(Allocations() - before, 0u);
+  EXPECT_EQ(AllocationCount() - before, 0u);
   EXPECT_EQ(recorder.num_samples(), 0u);
 }
 
@@ -123,9 +75,9 @@ TEST(TimeSeriesAllocTest, FlightRecorderSteadyStateIsAllocationFree) {
   // Warm-up: grow every slot's string capacity once around the ring.
   for (int i = 0; i < 128; ++i) ring.Write(line);
 
-  const uint64_t before = Allocations();
+  const uint64_t before = AllocationCount();
   for (int i = 0; i < 1000; ++i) ring.Write(line);
-  EXPECT_EQ(Allocations() - before, 0u);
+  EXPECT_EQ(AllocationCount() - before, 0u);
   EXPECT_EQ(ring.size(), 64u);
   EXPECT_EQ(ring.total_written(), 1128u);
 }

@@ -6,67 +6,18 @@
 // single null-pointer branch) and with one attached.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "obs/topo.h"
 #include "sim/simulator.h"
-
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align), size) == 0) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+#include "support/counting_allocator.h"
 
 namespace snapq {
 namespace {
-
-uint64_t Allocations() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
 
 constexpr int kIterations = 10000;
 
 TEST(TopoAllocTest, RecordSitesNeverAllocateEvenOnFirstTouch) {
   obs::LinkObserver observer(100);
-  const uint64_t before = Allocations();
+  const uint64_t before = AllocationCount();
   // No warm-up: first touches insert into the preallocated table and must
   // be just as allocation-free as steady-state updates.
   for (int i = 0; i < kIterations; ++i) {
@@ -76,7 +27,7 @@ TEST(TopoAllocTest, RecordSitesNeverAllocateEvenOnFirstTouch) {
     observer.RecordLoss(to, from, i);
     observer.RecordSnoop(from, to, i);
   }
-  EXPECT_EQ(Allocations() - before, 0u);
+  EXPECT_EQ(AllocationCount() - before, 0u);
   EXPECT_GT(observer.num_links(), 0u);
 }
 
@@ -85,11 +36,11 @@ TEST(TopoAllocTest, OverflowPathNeverAllocates) {
   for (int i = 0; i < 8; ++i) {
     observer.RecordDelivery(static_cast<NodeId>(i), 99, 0);  // fill + spill
   }
-  const uint64_t before = Allocations();
+  const uint64_t before = AllocationCount();
   for (int i = 0; i < kIterations; ++i) {
     observer.RecordDelivery(static_cast<NodeId>(i % 100), 98, i);
   }
-  EXPECT_EQ(Allocations() - before, 0u);
+  EXPECT_EQ(AllocationCount() - before, 0u);
   EXPECT_GT(observer.dropped_records(), 0u);
 }
 
@@ -111,13 +62,13 @@ uint64_t RunMessagePath(Simulator& sim) {
     sim.Send(unicast);
     sim.RunAll();
   }
-  const uint64_t before = Allocations();
+  const uint64_t before = AllocationCount();
   for (int i = 0; i < kIterations; ++i) {
     sim.Send(broadcast);
     sim.Send(unicast);
     sim.RunAll();
   }
-  return Allocations() - before;
+  return AllocationCount() - before;
 }
 
 SimConfig LossySnoopingConfig() {

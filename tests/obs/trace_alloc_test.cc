@@ -5,54 +5,9 @@
 // running the identical workload under both setups.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "obs/tracer.h"
 #include "sim/simulator.h"
-
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align), size) == 0) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+#include "support/counting_allocator.h"
 
 namespace snapq {
 namespace {
@@ -85,13 +40,13 @@ uint64_t CountWorkloadAllocations(Simulator& sim) {
     sim.Send(m);
     sim.RunAll();
   }
-  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const uint64_t before = AllocationCount();
   for (int i = 0; i < 256; ++i) {
     sim.Send(m);
     sim.ScheduleAfter(1, [&sim, m] { sim.Send(m); });
     sim.RunAll();
   }
-  return g_allocations.load(std::memory_order_relaxed) - before;
+  return AllocationCount() - before;
 }
 
 TEST(TraceAllocTest, SamplingZeroAddsNoHeapAllocationsToMessagePath) {

@@ -5,57 +5,13 @@
 // with the hook absent vs present.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "query/executor.h"
 #include "sim/simulator.h"
 #include "snapshot/election.h"
-
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align), size) == 0) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+#include "support/counting_allocator.h"
 
 namespace snapq {
 namespace {
@@ -110,12 +66,12 @@ uint64_t CountQueryAllocations(QueryExecutor& executor,
     executor.ExecuteRegion(kAll, /*use_snapshot=*/true,
                            AggregateFunction::kSum, options);
   }
-  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const uint64_t before = AllocationCount();
   for (int i = 0; i < rounds; ++i) {
     executor.ExecuteRegion(kAll, /*use_snapshot=*/true,
                            AggregateFunction::kSum, options);
   }
-  return g_allocations.load(std::memory_order_relaxed) - before;
+  return AllocationCount() - before;
 }
 
 TEST(ExplainAllocTest, NullProvenanceHookAddsNoAllocationsToQueryPath) {
@@ -144,14 +100,14 @@ TEST(ExplainAllocTest, NullProvenanceHookAddsNoAllocationsToQueryPath) {
     for (int i = 0; i < 8; ++i) {
       d.executor->ExecuteRegion(kAll, true, AggregateFunction::kSum, options);
     }
-    const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const uint64_t before = AllocationCount();
     for (int i = 0; i < 64; ++i) {
       QueryProvenance prov;
       ExecutionOptions hooked = options;
       hooked.provenance = &prov;
       d.executor->ExecuteRegion(kAll, true, AggregateFunction::kSum, hooked);
     }
-    with_hook = g_allocations.load(std::memory_order_relaxed) - before;
+    with_hook = AllocationCount() - before;
   }
   EXPECT_EQ(baseline, first);  // same workload, same steady-state cost
   EXPECT_GT(with_hook, baseline);  // the hook is where provenance pays

@@ -1,68 +1,20 @@
 // Acceptance bar for the zero-allocation event hot path (same global
 // new/delete harness as profiler_alloc_test): once the event queue's heap
-// vector and the simulator's delivery pool are warm, scheduling an
-// inline-sized action and delivering a broadcast message — vectors and
+// vector and the simulator's delivery pool are warm, scheduling a
+// small-capture action and delivering a broadcast message — vectors and
 // all — must perform ZERO heap allocations, and the pooled Send path must
 // keep the profiler's kMessagesSent accounting intact.
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
-#include <cstdlib>
-#include <new>
 
 #include "obs/profiler.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
-
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align), size) == 0) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+#include "support/counting_allocator.h"
 
 namespace snapq {
 namespace {
-
-uint64_t Allocations() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
 
 TEST(EventQueueAllocTest, InlineActionsScheduleWithZeroAllocations) {
   EventQueue queue;
@@ -73,12 +25,12 @@ TEST(EventQueueAllocTest, InlineActionsScheduleWithZeroAllocations) {
   queue.ScheduleAt(queue.now(), [&fired] { ++fired; });
   ASSERT_TRUE(queue.RunNext());
 
-  const uint64_t before = Allocations();
+  const uint64_t before = AllocationCount();
   for (int i = 0; i < 1000; ++i) {
     queue.ScheduleAt(queue.now() + 1, [&fired] { ++fired; });
     ASSERT_TRUE(queue.RunNext());
   }
-  EXPECT_EQ(Allocations() - before, 0u);
+  EXPECT_EQ(AllocationCount() - before, 0u);
   EXPECT_EQ(fired, 1001u);
 }
 
@@ -86,32 +38,32 @@ TEST(EventQueueAllocTest, ReservedBurstSchedulesWithZeroAllocations) {
   EventQueue queue;
   queue.Reserve(256);
   uint64_t fired = 0;
-  const uint64_t before = Allocations();
+  const uint64_t before = AllocationCount();
   for (int i = 0; i < 256; ++i) {
     queue.ScheduleAt(queue.now() + i, [&fired] { ++fired; });
   }
   queue.RunAll();
-  EXPECT_EQ(Allocations() - before, 0u);
+  EXPECT_EQ(AllocationCount() - before, 0u);
   EXPECT_EQ(fired, 256u);
 }
 
 TEST(EventQueueAllocTest, OversizedCaptureFallsBackToOneHeapAllocation) {
-  // Sanity check that the harness measures: a capture bigger than the
-  // inline buffer must allocate (exactly once per schedule).
+  // Sanity check that the harness measures: a capture too big for
+  // std::function's in-place storage must allocate.
   EventQueue queue;
   queue.Reserve(8);
-  std::array<char, EventQueue::kActionInlineBytes + 16> big{};
+  std::array<char, 80> big{};
   uint64_t fired = 0;
   queue.ScheduleAt(queue.now(), [&fired] { ++fired; });  // warm-up
   ASSERT_TRUE(queue.RunNext());
 
-  const uint64_t before = Allocations();
+  const uint64_t before = AllocationCount();
   queue.ScheduleAt(queue.now(), [big, &fired] {
     (void)big;
     ++fired;
   });
   ASSERT_TRUE(queue.RunNext());
-  EXPECT_GE(Allocations() - before, 1u);
+  EXPECT_GE(AllocationCount() - before, 1u);
   EXPECT_EQ(fired, 2u);
 }
 
@@ -151,13 +103,13 @@ TEST(EventQueueAllocTest, SteadyStateDeliveryIsAllocationFree) {
     sim.RunAll();
   }
 
-  const uint64_t before = Allocations();
+  const uint64_t before = AllocationCount();
   const uint64_t delivered_before = delivered;
   for (int i = 0; i < 512; ++i) {
     sim.Send(m);
     sim.RunAll();
   }
-  EXPECT_EQ(Allocations() - before, 0u);
+  EXPECT_EQ(AllocationCount() - before, 0u);
   // Each broadcast reaches the two other nodes in range.
   EXPECT_EQ(delivered - delivered_before, 1024u);
 }
