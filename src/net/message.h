@@ -81,7 +81,7 @@ struct Message {
   /// member's estimate — the same batching §5 applies to acknowledgments).
   std::vector<double> values;
   /// Causal context. Senders normally leave this default-initialized: the
-  /// simulator stamps each delivered copy with the message's span so
+  /// simulator stamps its delivered copy with the message's span so
   /// handlers inherit the sender's trace. Not counted in SizeBytes() —
   /// real deployments ship trace ids only when sampling, and the paper's
   /// byte accounting predates tracing.

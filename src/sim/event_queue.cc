@@ -6,21 +6,9 @@
 
 namespace snapq {
 
-namespace {
-/// Enough for a burst of deliveries in a 100-node broadcast round without
-/// growing the heap vector mid-simulation.
-constexpr size_t kInitialCapacity = 256;
-}  // namespace
-
-EventQueue::EventQueue() { heap_.c.reserve(kInitialCapacity); }
-
 void EventQueue::ScheduleAt(Time t, Action action) {
   SNAPQ_CHECK_GE(t, now_);
   heap_.push(Event{t, next_seq_++, std::move(action)});
-}
-
-void EventQueue::Reserve(size_t n) {
-  if (n > heap_.c.capacity()) heap_.c.reserve(n);
 }
 
 bool EventQueue::RunNext() {

@@ -3,10 +3,10 @@
 // increasing sequence number), which keeps whole-simulation runs
 // bit-reproducible for a given seed.
 //
-// Events carry a std::function action. The simulator's pooled delivery
-// closure is two pointers, which std::function stores in place, so the
-// per-message delivery hot path schedules with zero heap allocations once
-// the underlying heap vector has warmed up
+// Events carry a std::function action. The simulator schedules one event
+// per radio transmission, whose closure is two pointers that std::function
+// stores in place, so the message hot path schedules with zero heap
+// allocations once the heap's vector has grown to the peak pending count
 // (tests/sim/event_queue_alloc_test.cc pins this).
 #ifndef SNAPQ_SIM_EVENT_QUEUE_H_
 #define SNAPQ_SIM_EVENT_QUEUE_H_
@@ -25,14 +25,8 @@ class EventQueue {
  public:
   using Action = std::function<void()>;
 
-  EventQueue();
-
   /// Schedules `action` at absolute time `t`. Requires t >= now().
   void ScheduleAt(Time t, Action action);
-
-  /// Pre-sizes the heap's backing vector so the next `n` pending events
-  /// do not reallocate it.
-  void Reserve(size_t n);
 
   /// Runs the earliest pending event, advancing the clock to its time.
   /// Returns false when the queue is empty.
@@ -61,14 +55,7 @@ class EventQueue {
     }
   };
 
-  /// priority_queue keeps its container protected; exposing it lets
-  /// Reserve() pre-size the backing vector (capacity growth is the only
-  /// allocation the event hot path can perform).
-  struct Heap : std::priority_queue<Event, std::vector<Event>, Later> {
-    using std::priority_queue<Event, std::vector<Event>, Later>::c;
-  };
-
-  Heap heap_;
+  std::priority_queue<Event, std::vector<Event>, Later> heap_;
   uint64_t next_seq_ = 0;
   Time now_ = 0;
 };

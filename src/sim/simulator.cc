@@ -18,10 +18,6 @@ Simulator::Simulator(std::vector<Point> positions, std::vector<double> ranges,
   batteries_.assign(n, Battery(config_.energy.initial_battery));
   handlers_.resize(n);
   sent_by_.assign(n, 0);
-  // One broadcast can enqueue up to n-1 deliveries; pre-sizing the pool
-  // bookkeeping keeps the first full-fanout round allocation-quiet too.
-  delivery_pool_.reserve(n);
-  free_deliveries_.reserve(n);
 }
 
 void Simulator::SetHandler(NodeId id, MessageHandler handler) {
@@ -103,6 +99,15 @@ bool Simulator::Send(const Message& msg) {
     }
   }
 
+  // The surviving receivers are listed in an idle pooled record, which
+  // stays in the free list until something survives: nothing between here
+  // and the commit below can send.
+  if (free_transmissions_.empty()) {
+    transmission_pool_.push_back(std::make_unique<Transmission>());
+    free_transmissions_.push_back(transmission_pool_.back().get());
+  }
+  Transmission* t = free_transmissions_.back();
+  t->receivers.clear();
   for (NodeId receiver : links_.Reachable(from)) {
     const bool addressed =
         msg.to == kBroadcastId || msg.to == receiver;
@@ -132,35 +137,27 @@ bool Simulator::Send(const Message& msg) {
       }
       continue;
     }
-    // Copy the message into a pooled delivery event; the sender may
-    // mutate or destroy its copy after Send returns. Copy-assignment into
-    // the pooled record reuses the vector payloads' capacity, and the
-    // scheduled closure is two pointers, so a steady-state delivery
-    // performs no heap allocation. The copy carries the message span so
-    // the receiver's handler inherits this transmission's context.
-    DeliveryEvent* event = AcquireDelivery();
-    event->receiver = receiver;
-    event->snooped = snooped;
-    event->msg = msg;
-    event->msg.trace = span_ctx;
-    queue_.ScheduleAt(queue_.now(), [this, event] { RunDelivery(event); });
+    t->receivers.emplace_back(receiver, snooped);
   }
+  if (t->receivers.empty()) return true;
+  // Copy the message once; the sender may mutate or destroy its copy
+  // after Send returns. Copy-assignment into the pooled record reuses the
+  // vector payloads' capacity, and the scheduled closure is two pointers,
+  // so a steady-state send performs no heap allocation. The copy carries
+  // the message span so each receiver's handler inherits this
+  // transmission's context. Running every receiver in one event keeps
+  // them consecutive: nothing can be scheduled between them, and whatever
+  // their handlers schedule runs after all of them.
+  free_transmissions_.pop_back();
+  t->msg = msg;
+  t->msg.trace = span_ctx;
+  queue_.ScheduleAt(queue_.now(), [this, t] { RunTransmission(t); });
   return true;
 }
 
-Simulator::DeliveryEvent* Simulator::AcquireDelivery() {
-  if (free_deliveries_.empty()) {
-    delivery_pool_.push_back(std::make_unique<DeliveryEvent>());
-    return delivery_pool_.back().get();
-  }
-  DeliveryEvent* event = free_deliveries_.back();
-  free_deliveries_.pop_back();
-  return event;
-}
-
-void Simulator::RunDelivery(DeliveryEvent* event) {
-  Deliver(event->receiver, event->msg, event->snooped);
-  free_deliveries_.push_back(event);
+void Simulator::RunTransmission(Transmission* t) {
+  for (const auto& [to, snooped] : t->receivers) Deliver(to, t->msg, snooped);
+  free_transmissions_.push_back(t);
 }
 
 void Simulator::Deliver(NodeId to, const Message& msg, bool snooped) {

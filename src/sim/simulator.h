@@ -7,6 +7,9 @@
 //    intended recipient, and other nodes in range may snoop unicasts with a
 //    configurable probability (§3: nodes build models by snooping);
 //  * loss is sampled independently per (message, receiver);
+//  * a transmission is one queued event: the surviving receivers run back
+//    to back, in reachability order, before anything their handlers
+//    schedule;
 //  * dead nodes (empty battery or forced kill) neither send nor receive;
 //  * sending charges the sender one tx cost; a send that exhausts the
 //    battery still goes out (the node dies transmitting).
@@ -16,6 +19,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -69,10 +73,10 @@ class Simulator {
   /// Schedules an action `delta` >= 0 time units from now.
   void ScheduleAfter(Time delta, std::function<void()> action);
 
-  /// Transmits `msg` (msg.from must be a live node). Deliveries are
-  /// scheduled at now() (radio latency is negligible at the paper's
-  /// time-unit granularity) after loss sampling. Returns false if the
-  /// sender was dead and nothing was transmitted.
+  /// Transmits `msg` (msg.from must be a live node). Loss and snooping are
+  /// sampled now; the surviving deliveries run as one event at now()
+  /// (radio latency is negligible at the paper's time-unit granularity).
+  /// Returns false if the sender was dead and nothing was transmitted.
   bool Send(const Message& msg);
 
   /// Charges `id` one cache-maintenance CPU operation.
@@ -134,11 +138,9 @@ class Simulator {
   /// Resets the per-node sent counters (metrics object is left untouched).
   void ResetPerNodeCounters();
 
-  Rng& rng() { return rng_; }
-
   /// Attaches a causal tracer (nullptr detaches). Not owned. With a tracer
   /// attached, Send mints a message span per transmission (child of the
-  /// sender's context), stamps it on every delivered copy, and records
+  /// sender's context), stamps it on the delivered copy, and records
   /// deliver/snoop/loss outcomes; handlers and ScheduleAt callbacks run
   /// under the causal context that scheduled them.
   void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
@@ -159,11 +161,6 @@ class Simulator {
     link_observer_ = observer;
   }
   obs::LinkObserver* link_observer() { return link_observer_; }
-
-  /// True when a tracer is attached and its sampling is non-zero.
-  bool tracing_enabled() const {
-    return tracer_ != nullptr && tracer_->enabled();
-  }
 
   /// The causal context of the event currently executing (unsampled when
   /// tracing is off or the current event has no traced cause).
@@ -195,21 +192,18 @@ class Simulator {
   };
 
   // Event loop control.
-  bool RunNext() { return queue_.RunNext(); }
   void RunUntil(Time t) { queue_.RunUntil(t); }
   void RunAll() { queue_.RunAll(); }
-  bool idle() const { return queue_.empty(); }
 
  private:
-  /// A pooled in-flight delivery: the message copy plus its addressing.
-  /// Pooling reuses the Message's vector payloads (ids/epochs/values)
-  /// across deliveries, so a steady-state Send schedules each receiver's
-  /// delivery with zero heap allocations (the closure pushed into the
-  /// event queue is just {this, event*} and stays inline).
-  struct DeliveryEvent {
+  /// A pooled in-flight transmission: one copy of the message plus the
+  /// (receiver, snooped) pairs that survived loss sampling, in Reachable
+  /// order. Pooling reuses the Message's vector payloads and the receiver
+  /// list across sends, so a steady-state Send schedules its one event
+  /// with zero heap allocations (the closure is {this, record*}, inline).
+  struct Transmission {
     Message msg;
-    NodeId receiver = kInvalidNode;
-    bool snooped = false;
+    std::vector<std::pair<NodeId, bool>> receivers;
   };
 
   void Deliver(NodeId to, const Message& msg, bool snooped);
@@ -218,10 +212,9 @@ class Simulator {
   /// Death bookkeeping shared by every charge site: net.node_deaths,
   /// ledger death tick, and the frozen-schema node_death journal event.
   void OnNodeDeath(NodeId id, const char* cause);
-  /// Pops a pooled delivery record (allocating only when the pool is dry).
-  DeliveryEvent* AcquireDelivery();
-  /// Runs one pooled delivery and returns the record to the pool.
-  void RunDelivery(DeliveryEvent* event);
+  /// Delivers `t` to each of its receivers in turn, then returns the
+  /// record to the pool.
+  void RunTransmission(Transmission* t);
 
   LinkModel links_;
   SimConfig config_;
@@ -233,11 +226,12 @@ class Simulator {
   std::vector<Battery> batteries_;
   std::vector<MessageHandler> handlers_;
   std::vector<uint64_t> sent_by_;
-  /// Owns every delivery record ever created; free_deliveries_ holds the
-  /// currently idle ones. Records are stable on the heap (unique_ptr) so
-  /// scheduled closures can carry raw pointers across heap sifts.
-  std::vector<std::unique_ptr<DeliveryEvent>> delivery_pool_;
-  std::vector<DeliveryEvent*> free_deliveries_;
+  /// Owns every transmission record ever created; free_transmissions_
+  /// holds the idle ones. Records are stable on the heap (unique_ptr) so
+  /// scheduled closures can carry raw pointers across heap sifts. The pool
+  /// grows with the number of transmissions in flight at once.
+  std::vector<std::unique_ptr<Transmission>> transmission_pool_;
+  std::vector<Transmission*> free_transmissions_;
   std::array<double, kNumMessageTypes> type_loss_{};
   obs::Tracer* tracer_ = nullptr;
   obs::EnergyLedger* energy_ledger_ = nullptr;

@@ -1,12 +1,15 @@
 // Acceptance bar for the zero-allocation event hot path (same global
 // new/delete harness as profiler_alloc_test): once the event queue's heap
-// vector and the simulator's delivery pool are warm, scheduling a
+// vector and the simulator's transmission pool are warm, scheduling a
 // small-capture action and delivering a broadcast message — vectors and
-// all — must perform ZERO heap allocations, and the pooled Send path must
-// keep the profiler's kMessagesSent accounting intact.
+// receiver list and all — must perform ZERO heap allocations, and the
+// pooled Send path must keep the profiler's kMessagesSent accounting
+// intact.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <utility>
+#include <vector>
 
 #include "obs/profiler.h"
 #include "sim/event_queue.h"
@@ -18,7 +21,6 @@ namespace {
 
 TEST(EventQueueAllocTest, InlineActionsScheduleWithZeroAllocations) {
   EventQueue queue;
-  queue.Reserve(64);
   uint64_t fired = 0;
   // Warm-up: some standard libraries lazily allocate on first use of
   // unrelated machinery; one full schedule/run cycle flushes that out.
@@ -34,24 +36,27 @@ TEST(EventQueueAllocTest, InlineActionsScheduleWithZeroAllocations) {
   EXPECT_EQ(fired, 1001u);
 }
 
-TEST(EventQueueAllocTest, ReservedBurstSchedulesWithZeroAllocations) {
+TEST(EventQueueAllocTest, WarmBurstSchedulesWithZeroAllocations) {
   EventQueue queue;
-  queue.Reserve(256);
   uint64_t fired = 0;
+  auto burst = [&] {
+    for (int i = 0; i < 256; ++i) {
+      queue.ScheduleAt(queue.now() + i, [&fired] { ++fired; });
+    }
+    queue.RunAll();
+  };
+  burst();  // grows the heap's vector to 256 pending events
+
   const uint64_t before = AllocationCount();
-  for (int i = 0; i < 256; ++i) {
-    queue.ScheduleAt(queue.now() + i, [&fired] { ++fired; });
-  }
-  queue.RunAll();
+  burst();
   EXPECT_EQ(AllocationCount() - before, 0u);
-  EXPECT_EQ(fired, 256u);
+  EXPECT_EQ(fired, 512u);
 }
 
 TEST(EventQueueAllocTest, OversizedCaptureFallsBackToOneHeapAllocation) {
   // Sanity check that the harness measures: a capture too big for
   // std::function's in-place storage must allocate.
   EventQueue queue;
-  queue.Reserve(8);
   std::array<char, 80> big{};
   uint64_t fired = 0;
   queue.ScheduleAt(queue.now(), [&fired] { ++fired; });  // warm-up
@@ -67,11 +72,17 @@ TEST(EventQueueAllocTest, OversizedCaptureFallsBackToOneHeapAllocation) {
   EXPECT_EQ(fired, 2u);
 }
 
-Simulator MakeSim() {
+/// `n` nodes on a line, pairwise in range: every broadcast reaches all
+/// n - 1 others.
+Simulator MakeSim(NodeId n = 3) {
   SimConfig config;
   config.seed = 7;
-  // Pairwise in range: every broadcast reaches both other nodes.
-  return Simulator({{0, 0}, {1, 0}, {2, 0}}, {2.5, 2.5, 2.5}, config);
+  std::vector<Point> positions;
+  for (NodeId i = 0; i < n; ++i) {
+    positions.push_back({static_cast<double>(i), 0});
+  }
+  return Simulator(std::move(positions), std::vector<double>(n, n + 0.5),
+                   config);
 }
 
 /// A broadcast with every payload vector populated — the worst case for
@@ -90,28 +101,33 @@ Message PayloadMsg() {
 
 TEST(EventQueueAllocTest, SteadyStateDeliveryIsAllocationFree) {
   obs::Profiler::Disable();
-  Simulator sim = MakeSim();
-  uint64_t delivered = 0;
-  for (NodeId i = 0; i < 3; ++i) {
-    sim.SetHandler(i, [&delivered](const Message&, bool) { ++delivered; });
-  }
-  const Message m = PayloadMsg();
-  // Warm up the delivery pool, the pooled messages' vector capacities and
-  // the event queue's backing vector.
-  for (int i = 0; i < 16; ++i) {
-    sim.Send(m);
-    sim.RunAll();
-  }
+  // 3 nodes, and 33 for a wide fan-out whose pooled receiver list holds
+  // 32 entries.
+  for (const NodeId n : {NodeId{3}, NodeId{33}}) {
+    SCOPED_TRACE(n);
+    Simulator sim = MakeSim(n);
+    uint64_t delivered = 0;
+    for (NodeId i = 0; i < n; ++i) {
+      sim.SetHandler(i, [&delivered](const Message&, bool) { ++delivered; });
+    }
+    const Message m = PayloadMsg();
+    // Warm up the transmission pool, the pooled message's vector and
+    // receiver-list capacities and the event queue's backing vector.
+    for (int i = 0; i < 16; ++i) {
+      sim.Send(m);
+      sim.RunAll();
+    }
 
-  const uint64_t before = AllocationCount();
-  const uint64_t delivered_before = delivered;
-  for (int i = 0; i < 512; ++i) {
-    sim.Send(m);
-    sim.RunAll();
+    const uint64_t before = AllocationCount();
+    const uint64_t delivered_before = delivered;
+    for (int i = 0; i < 512; ++i) {
+      sim.Send(m);
+      sim.RunAll();
+    }
+    EXPECT_EQ(AllocationCount() - before, 0u);
+    // Each broadcast reaches the n - 1 other nodes in range.
+    EXPECT_EQ(delivered - delivered_before, 512u * (n - 1));
   }
-  EXPECT_EQ(AllocationCount() - before, 0u);
-  // Each broadcast reaches the two other nodes in range.
-  EXPECT_EQ(delivered - delivered_before, 1024u);
 }
 
 TEST(EventQueueAllocTest, PooledSendKeepsProfilerAccountingIntact) {

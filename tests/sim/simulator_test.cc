@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "obs/tracer.h"
@@ -177,6 +178,64 @@ TEST(SimulatorTest, DeterministicAcrossRuns) {
   EXPECT_EQ(run(9), run(9));
   // Not a hard guarantee, but overwhelmingly likely for 200 Bernoulli draws:
   EXPECT_NE(run(9), run(10));
+}
+
+// The delivery-order contract: one transmission's receivers run back to
+// back in Reachable (ascending id) order, before anything their handlers
+// schedule, and each receiver's liveness is checked when it is reached.
+
+/// Four nodes, all pairwise in range.
+Simulator MakeClique(SimConfig config = {}) {
+  return Simulator({{0, 0}, {1, 0}, {2, 0}, {3, 0}}, {5.0, 5.0, 5.0, 5.0},
+                   config);
+}
+
+TEST(SimulatorOrderTest, TransmissionsDeliverWholeBeforeWhatTheyTrigger) {
+  Simulator sim = MakeClique();
+  std::vector<std::string> calls;  // "receiver<sender", or "timer"
+  bool reacted = false;
+  for (NodeId i = 0; i < 4; ++i) {
+    sim.SetHandler(i, [&, i](const Message& m, bool) {
+      calls.push_back(std::to_string(i) + "<" + std::to_string(m.from));
+      if (reacted) return;
+      reacted = true;
+      sim.ScheduleAfter(0, [&] { calls.push_back("timer"); });
+      sim.Send(DataMsg(i, 3.0));
+    });
+  }
+  sim.ScheduleAt(1, [&] {
+    sim.Send(DataMsg(0, 1.0));
+    sim.Send(DataMsg(1, 2.0));
+  });
+  sim.RunAll();
+  const std::vector<std::string> expected = {
+      "1<0", "2<0", "3<0",           // first broadcast
+      "0<1", "2<1", "3<1",           // second broadcast
+      "timer",                       // scheduled by node 1's first call
+      "0<1", "2<1", "3<1"};          // third message, sent by node 1
+  EXPECT_EQ(calls, expected);
+}
+
+TEST(SimulatorOrderTest, ReceiverKilledMidTransmissionIsSkipped) {
+  SimConfig config;
+  config.energy.initial_battery = 10.0;
+  config.energy.rx_cost = 0.5;
+  Simulator sim = MakeClique(config);
+  std::vector<NodeId> ran;
+  for (NodeId i = 1; i < 4; ++i) {
+    sim.SetHandler(i, [&, i](const Message&, bool) {
+      ran.push_back(i);
+      if (i == 1) sim.Kill(2);
+    });
+  }
+  sim.Send(DataMsg(0, 1.0));
+  sim.RunAll();
+  EXPECT_EQ(ran, (std::vector<NodeId>{1, 3}));
+  EXPECT_DOUBLE_EQ(sim.battery(1).remaining(), 9.5);
+  EXPECT_DOUBLE_EQ(sim.battery(2).remaining(), 0.0);
+  EXPECT_DOUBLE_EQ(sim.battery(3).remaining(), 9.5);
+  EXPECT_EQ(sim.metrics().total_delivered(), 2u);
+  EXPECT_EQ(sim.metrics().node_deaths(), 1u);
 }
 
 // Radio events as the causal tracer records them: every transmission sent
