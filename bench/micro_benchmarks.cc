@@ -4,13 +4,16 @@
 // tree, query execution, parsing).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <memory>
+#include <vector>
 
 #include "api/experiment.h"
 #include "model/cache_manager.h"
 #include "net/topology.h"
 #include "obs/journal.h"
 #include "obs/metric_registry.h"
+#include "obs/topo.h"
 #include "query/executor.h"
 #include "query/explain.h"
 #include "query/parser.h"
@@ -202,6 +205,38 @@ void BM_ObsJournalEmitDisabled(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObsJournalEmitDisabled);
+
+// One topology analysis (what each telemetry sample with a topology
+// monitor pays) on the scale_sweep geometry: n uniform nodes at range
+// 0.2*sqrt(100/n), about 26% of them representatives, each owning the
+// unclaimed nodes it can reach.
+void BM_AnalyzeTopology(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(11);
+  const LinkModel links(
+      PlaceUniform(n, Rect::UnitSquare(), rng),
+      std::vector<double>(n, 0.2 * std::sqrt(100.0 / static_cast<double>(n))),
+      0.0);
+  obs::ClusterView view;
+  view.Resize(n);
+  for (NodeId i = 0; i < n; ++i) view.is_rep[i] = rng.Bernoulli(0.26);
+  for (NodeId rep = 0; rep < n; ++rep) {
+    if (!view.is_rep[rep]) continue;
+    for (NodeId j : links.Reachable(rep)) {
+      if (!view.is_rep[j] && view.representative[j] == j) {
+        view.representative[j] = rep;
+      }
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(obs::AnalyzeTopology(links, view, 0));
+  }
+}
+BENCHMARK(BM_AnalyzeTopology)
+    ->Arg(5000)
+    ->Arg(20000)
+    ->ArgNames({"nodes"})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ParseQuery(benchmark::State& state) {
   const std::string sql =

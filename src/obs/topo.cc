@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <sstream>
 
 #include "common/check.h"
@@ -147,24 +148,55 @@ void ClusterView::Resize(size_t n) {
 namespace {
 
 /// Undirected closure over live nodes: u~v iff either direction is in
-/// range (the relation LinkModel::IsConnected uses). Adjacency lists are
-/// sorted and deduplicated, so the DFS below sees each edge exactly once
-/// per endpoint.
-std::vector<std::vector<NodeId>> BuildLiveAdjacency(
-    const LinkModel& links, const std::vector<uint8_t>& alive) {
-  const size_t n = links.num_nodes();
-  std::vector<std::vector<NodeId>> adj(n);
-  for (NodeId u = 0; u < n; ++u) {
-    if (!alive[u]) continue;
-    for (NodeId v : links.Reachable(u)) {
-      if (!alive[v]) continue;
-      adj[u].push_back(v);
-      adj[v].push_back(u);
+/// range (the relation LinkModel::IsConnected uses). It reads LinkModel's
+/// own CSR rows and stores only what they lack: each node's one-way
+/// in-links (the nodes that reach it but that it cannot reach), as a
+/// second CSR that is empty when all ranges are equal. Row u is Out(u)
+/// then In(u); the two parts are disjoint and free of duplicates, so the
+/// DFS below sees each edge exactly once per endpoint. Rows still name
+/// dead nodes, which every reader skips.
+struct LiveAdjacency {
+  const LinkModel& links;
+  const std::vector<uint8_t>& alive;
+  std::vector<uint64_t> in_offsets;  // n + 1 entries, 64-bit as LinkModel's
+  std::vector<NodeId> in_targets;
+
+  std::span<const NodeId> Out(NodeId u) const { return links.Reachable(u); }
+  std::span<const NodeId> In(NodeId u) const {
+    return {in_targets.data() + in_offsets[u],
+            in_offsets[u + 1] - in_offsets[u]};
+  }
+  /// Calls f(v) for every live neighbour v of u.
+  template <typename F>
+  void ForEachLive(NodeId u, F&& f) const {
+    for (NodeId v : Out(u)) {
+      if (alive[v]) f(v);
+    }
+    for (NodeId v : In(u)) {
+      if (alive[v]) f(v);
     }
   }
-  for (auto& list : adj) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
+};
+
+LiveAdjacency BuildLiveAdjacency(const LinkModel& links,
+                                 const std::vector<uint8_t>& alive) {
+  const size_t n = links.num_nodes();
+  // A link u->v without v->u puts u in In(v). Count row lengths, turn them
+  // into row ends, then fill each row back to front so in_offsets[v] ends
+  // up at the row's start.
+  LiveAdjacency adj{links, alive, std::vector<uint64_t>(n + 1, 0), {}};
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v : links.Reachable(u)) {
+      if (!links.CanReach(v, u)) ++adj.in_offsets[v];
+    }
+  }
+  for (size_t i = 1; i < n; ++i) adj.in_offsets[i] += adj.in_offsets[i - 1];
+  adj.in_offsets[n] = n == 0 ? 0 : adj.in_offsets[n - 1];
+  adj.in_targets.resize(adj.in_offsets[n]);
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v : links.Reachable(u)) {
+      if (!links.CanReach(v, u)) adj.in_targets[--adj.in_offsets[v]] = u;
+    }
   }
   return adj;
 }
@@ -172,31 +204,40 @@ std::vector<std::vector<NodeId>> BuildLiveAdjacency(
 /// One iterative Tarjan DFS over the undirected graph: fills the sorted
 /// bridge and articulation lists. Iterative so 100k-node components don't
 /// overflow the stack (ROADMAP item 2's scale).
-void FindCutStructure(const std::vector<std::vector<NodeId>>& adj,
-                      const std::vector<uint8_t>& alive,
+void FindCutStructure(const LiveAdjacency& adj,
                       std::vector<std::pair<NodeId, NodeId>>* bridges,
                       std::vector<NodeId>* articulation) {
-  const size_t n = adj.size();
+  const size_t n = adj.alive.size();
   std::vector<int64_t> disc(n, -1);
   std::vector<int64_t> low(n, 0);
   std::vector<uint8_t> is_art(n, 0);
   struct Frame {
     NodeId u;
     NodeId parent;
-    size_t next;
+    uint32_t next;  // position in u's row: Out(u), then In(u)
   };
+  // The bridges form a forest and the stack holds one path, so neither
+  // outgrows n: reserving up front keeps the allocation count independent
+  // of the graph.
   std::vector<Frame> stack;
+  stack.reserve(n);
+  bridges->reserve(n);
   int64_t timer = 0;
   for (NodeId root = 0; root < n; ++root) {
-    if (!alive[root] || disc[root] >= 0) continue;
+    if (!adj.alive[root] || disc[root] >= 0) continue;
     size_t root_children = 0;
     disc[root] = low[root] = timer++;
     stack.push_back({root, kInvalidNode, 0});
     while (!stack.empty()) {
       Frame& frame = stack.back();
-      if (frame.next < adj[frame.u].size()) {
-        const NodeId v = adj[frame.u][frame.next++];
-        if (v == frame.parent) continue;
+      const std::span<const NodeId> out = adj.Out(frame.u);
+      const std::span<const NodeId> in = adj.In(frame.u);
+      if (frame.next < out.size() + in.size()) {
+        const NodeId v = frame.next < out.size()
+                             ? out[frame.next]
+                             : in[frame.next - out.size()];
+        ++frame.next;
+        if (!adj.alive[v] || v == frame.parent) continue;
         if (disc[v] < 0) {
           disc[v] = low[v] = timer++;
           if (frame.u == root) ++root_children;
@@ -222,6 +263,9 @@ void FindCutStructure(const std::vector<std::vector<NodeId>>& adj,
     if (root_children >= 2) is_art[root] = 1;
   }
   std::sort(bridges->begin(), bridges->end());
+  bridges->shrink_to_fit();  // the snapshot outlives the n-entry reserve
+  articulation->reserve(
+      static_cast<size_t>(std::count(is_art.begin(), is_art.end(), 1)));
   for (NodeId i = 0; i < n; ++i) {
     if (is_art[i]) articulation->push_back(i);
   }
@@ -246,12 +290,9 @@ TopologySnapshot AnalyzeTopology(const LinkModel& links,
     snap.representative.resize(n);
     for (NodeId i = 0; i < n; ++i) snap.representative[i] = i;
   }
-  const std::vector<uint8_t> no_reps(n, 0);
-  const std::vector<uint8_t>& is_rep =
-      view.is_rep.size() == n ? view.is_rep : no_reps;
+  const bool has_reps = view.is_rep.size() == n;
 
-  const std::vector<std::vector<NodeId>> adj =
-      BuildLiveAdjacency(links, snap.alive);
+  const LiveAdjacency adj = BuildLiveAdjacency(links, snap.alive);
 
   // Degrees / isolation.
   snap.degree.assign(n, 0);
@@ -259,7 +300,7 @@ TopologySnapshot AnalyzeTopology(const LinkModel& links,
   for (NodeId i = 0; i < n; ++i) {
     if (!snap.alive[i]) continue;
     ++snap.num_live;
-    snap.degree[i] = static_cast<uint32_t>(adj[i].size());
+    adj.ForEachLive(i, [&](NodeId) { ++snap.degree[i]; });
     degree_sum += snap.degree[i];
     snap.max_degree = std::max<size_t>(snap.max_degree, snap.degree[i]);
     if (snap.degree[i] == 0) ++snap.isolated;
@@ -280,53 +321,83 @@ TopologySnapshot AnalyzeTopology(const LinkModel& links,
     queue.clear();
     queue.push_back(i);
     for (size_t head = 0; head < queue.size(); ++head) {
-      for (NodeId next : adj[queue[head]]) {
-        if (snap.component[next] >= 0) continue;
+      adj.ForEachLive(queue[head], [&](NodeId next) {
+        if (snap.component[next] >= 0) return;
         snap.component[next] = id;
         queue.push_back(next);
-      }
+      });
     }
   }
 
-  FindCutStructure(adj, snap.alive, &snap.bridges, &snap.articulation);
+  FindCutStructure(adj, &snap.bridges, &snap.articulation);
 
-  // Per-cluster radius and BFS depth. A stamp array avoids re-clearing
-  // the distance buffer per cluster.
+  // Cluster members, bucketed by representative in one counting pass
+  // (filled back to front, like the adjacency): bucket r is
+  // members[member_offset[r] .. member_offset[r + 1]), in ascending id
+  // order. A member is a live node naming another node; only the buckets
+  // of live representatives are read below.
+  const auto bucket_of = [&](NodeId j) {
+    const NodeId r = snap.representative[j];
+    return snap.alive[j] && r != j && r < n ? r : kInvalidNode;
+  };
+  std::vector<uint32_t> member_offset(n + 1, 0);
+  for (NodeId j = 0; j < n; ++j) {
+    const NodeId r = bucket_of(j);
+    if (r != kInvalidNode) ++member_offset[r];
+  }
+  for (size_t r = 1; r < n; ++r) member_offset[r] += member_offset[r - 1];
+  member_offset[n] = n == 0 ? 0 : member_offset[n - 1];
+  std::vector<NodeId> members(member_offset[n]);
+  for (NodeId j = static_cast<NodeId>(n); j-- > 0;) {
+    const NodeId r = bucket_of(j);
+    if (r != kInvalidNode) members[--member_offset[r]] = j;
+  }
+
+  // Per-cluster radius and BFS depth. Each BFS stops with the row in which
+  // it reaches its last member (BFS order already gives the shortest hop
+  // count), and exhausts the component only when some member is
+  // unreachable. A stamp
+  // array avoids re-clearing the distance buffer per cluster.
   std::vector<int64_t> dist(n, -1);
   std::vector<uint32_t> stamp(n, 0);
   uint32_t current_stamp = 0;
+  const auto is_live_rep = [&](NodeId i) {
+    return has_reps && snap.alive[i] && view.is_rep[i];
+  };
+  size_t num_reps = 0;
+  for (NodeId i = 0; i < n; ++i) {
+    if (is_live_rep(i)) ++num_reps;
+  }
+  snap.clusters.reserve(num_reps);
   for (NodeId rep = 0; rep < n; ++rep) {
-    if (!snap.alive[rep] || !is_rep[rep]) continue;
-    ClusterTopoStats stats;
-    stats.rep = rep;
+    if (!is_live_rep(rep)) continue;
+    const std::span<const NodeId> cluster(
+        members.data() + member_offset[rep],
+        member_offset[rep + 1] - member_offset[rep]);
     ++current_stamp;
     dist[rep] = 0;
     stamp[rep] = current_stamp;
     queue.clear();
     queue.push_back(rep);
-    for (size_t head = 0; head < queue.size(); ++head) {
+    size_t unreached = cluster.size();
+    for (size_t head = 0; head < queue.size() && unreached > 0; ++head) {
       const NodeId u = queue[head];
-      for (NodeId next : adj[u]) {
-        if (stamp[next] == current_stamp) continue;
+      adj.ForEachLive(u, [&](NodeId next) {
+        if (stamp[next] == current_stamp) return;
         stamp[next] = current_stamp;
         dist[next] = dist[u] + 1;
         queue.push_back(next);
-      }
+        if (snap.representative[next] == rep) --unreached;
+      });
     }
-    for (NodeId j = 0; j < n; ++j) {
-      if (!snap.alive[j]) continue;
-      const bool member = j == rep || snap.representative[j] == rep;
-      if (!member) continue;
-      ++stats.size;
+    ClusterTopoStats stats;
+    stats.rep = rep;
+    stats.size = 1 + cluster.size();
+    stats.depth = unreached > 0 ? -1 : 0;  // -1: a member the rep cannot reach
+    for (NodeId j : cluster) {
       stats.radius = std::max(
           stats.radius, Distance(links.position(rep), links.position(j)));
-      if (stats.depth >= 0) {
-        if (stamp[j] != current_stamp) {
-          stats.depth = -1;  // a member the rep cannot reach at all
-        } else {
-          stats.depth = std::max(stats.depth, dist[j]);
-        }
-      }
+      if (stats.depth >= 0) stats.depth = std::max(stats.depth, dist[j]);
     }
     snap.clusters.push_back(stats);
   }

@@ -3,9 +3,18 @@
 // must be allocation-free once constructed (the open-addressing table is
 // preallocated, first touches included), and the simulator's message path
 // must stay allocation-free in steady state BOTH without an observer (the
-// single null-pointer branch) and with one attached.
+// single null-pointer branch) and with one attached. AnalyzeTopology makes
+// a fixed number of allocations whatever the node count: no per-node
+// containers.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+#include "net/link_model.h"
+#include "net/topology.h"
 #include "obs/topo.h"
 #include "sim/simulator.h"
 #include "support/counting_allocator.h"
@@ -104,6 +113,44 @@ TEST(TopoAllocTest, MessagePathAllocationFreeWithAnObserver) {
   EXPECT_GT(deliveries, 0u);
   EXPECT_GT(losses, 0u);
   EXPECT_GT(snoops, 0u);
+}
+
+/// Allocations made by one AnalyzeTopology call on the scale_sweep
+/// geometry (range 0.2*sqrt(100/n)) with about 26% of the nodes as
+/// representatives, each owning the unclaimed nodes it can reach. Three
+/// of the n nodes form a path far outside the unit square, so every
+/// snapshot has bridges and an articulation node whatever the placement.
+uint64_t AnalyzeAllocations(size_t n) {
+  const double range = 0.2 * std::sqrt(100.0 / static_cast<double>(n));
+  Rng rng(5);
+  std::vector<Point> positions = PlaceUniform(n - 3, Rect::UnitSquare(), rng);
+  for (int i = 0; i < 3; ++i) positions.push_back({5.0, 5.0 + 0.9 * range * i});
+  const LinkModel links(std::move(positions), std::vector<double>(n, range),
+                        0.0);
+  obs::ClusterView view;
+  view.Resize(n);
+  for (NodeId i = 0; i < n; ++i) view.is_rep[i] = rng.Bernoulli(0.26);
+  for (NodeId rep = 0; rep < n; ++rep) {
+    if (!view.is_rep[rep]) continue;
+    for (NodeId j : links.Reachable(rep)) {
+      if (!view.is_rep[j] && view.representative[j] == j) {
+        view.representative[j] = rep;
+      }
+    }
+  }
+  const uint64_t before = AllocationCount();
+  const obs::TopologySnapshot snap = obs::AnalyzeTopology(links, view, 0);
+  const uint64_t allocations = AllocationCount() - before;
+  // Every output list is non-empty, so each size pays its allocations.
+  EXPECT_FALSE(snap.bridges.empty()) << n;
+  EXPECT_FALSE(snap.articulation.empty()) << n;
+  EXPECT_FALSE(snap.clusters.empty()) << n;
+  EXPECT_GT(snap.clusters.front().size, 1u) << n;
+  return allocations;
+}
+
+TEST(TopoAllocTest, AnalyzeTopologyAllocationsDoNotGrowWithNodeCount) {
+  EXPECT_EQ(AnalyzeAllocations(100), AnalyzeAllocations(5000));
 }
 
 }  // namespace

@@ -1,16 +1,21 @@
 // Unit tests for the topology & churn observatory (src/obs/topo.h):
 // LinkObserver bookkeeping and overflow, AnalyzeTopology on hand-built
-// placements (partitions, bridges, articulation, cluster radius/depth),
+// placements (partitions, bridges, articulation, cluster radius/depth)
+// and against a whole-graph reference on seeded random views,
 // ChurnTracker sweep differencing, and TopologyMonitor gauge publishing.
 #include "obs/topo.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/geometry.h"
+#include "common/rng.h"
 #include "net/link_model.h"
 #include "obs/journal.h"
 #include "obs/metric_registry.h"
@@ -220,6 +225,256 @@ TEST(AnalyzeTopologyTest, EmptyViewDefaultsToAllAliveUnclustered) {
   EXPECT_EQ(snap.partitions, 1u);
   EXPECT_TRUE(snap.clusters.empty());
   EXPECT_EQ(snap.representative[1], 1u);
+}
+
+// ---------------------------------------------------------------------------
+// AnalyzeTopology equivalence with a straightforward reference
+
+/// The whole-graph reference the analyzer must match field for field: a
+/// per-node adjacency vector, bridges and articulation nodes by brute
+/// force, and per representative a BFS over its whole component followed
+/// by a scan of all n nodes for its members.
+obs::TopologySnapshot ReferenceAnalyzeTopology(const LinkModel& links,
+                                               const obs::ClusterView& view,
+                                               Time now) {
+  const size_t n = links.num_nodes();
+  obs::TopologySnapshot snap;
+  snap.t = now;
+  snap.num_nodes = n;
+  snap.alive = view.alive.size() == n ? view.alive
+                                      : std::vector<uint8_t>(n, 1);
+  snap.representative.resize(n);
+  for (NodeId i = 0; i < n; ++i) {
+    snap.representative[i] =
+        view.representative.size() == n ? view.representative[i] : i;
+  }
+  std::vector<uint8_t> is_rep(n, 0);
+  if (view.is_rep.size() == n) is_rep = view.is_rep;
+
+  std::vector<std::vector<NodeId>> adj(n);
+  for (NodeId u = 0; u < n; ++u) {
+    if (!snap.alive[u]) continue;
+    for (NodeId v : links.Reachable(u)) {
+      if (!snap.alive[v]) continue;
+      adj[u].push_back(v);
+      adj[v].push_back(u);
+    }
+  }
+  for (auto& list : adj) {
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+  }
+
+  snap.degree.assign(n, 0);
+  uint64_t degree_sum = 0;
+  for (NodeId i = 0; i < n; ++i) {
+    if (!snap.alive[i]) continue;
+    ++snap.num_live;
+    snap.degree[i] = static_cast<uint32_t>(adj[i].size());
+    degree_sum += snap.degree[i];
+    snap.max_degree = std::max<size_t>(snap.max_degree, snap.degree[i]);
+    if (snap.degree[i] == 0) ++snap.isolated;
+  }
+  snap.avg_degree = snap.num_live == 0
+                        ? 0.0
+                        : static_cast<double>(degree_sum) /
+                              static_cast<double>(snap.num_live);
+
+  snap.component.assign(n, -1);
+  std::vector<NodeId> queue;
+  for (NodeId i = 0; i < n; ++i) {
+    if (!snap.alive[i] || snap.component[i] >= 0) continue;
+    const int32_t id = static_cast<int32_t>(snap.partitions++);
+    snap.component[i] = id;
+    queue.assign(1, i);
+    for (size_t head = 0; head < queue.size(); ++head) {
+      for (NodeId next : adj[queue[head]]) {
+        if (snap.component[next] >= 0) continue;
+        snap.component[next] = id;
+        queue.push_back(next);
+      }
+    }
+  }
+
+  // Cut structure by brute force: an edge is a bridge (a node an
+  // articulation point) iff removing it raises the component count.
+  const auto count_components = [&](NodeId skip_node, NodeId a, NodeId b) {
+    std::vector<uint8_t> seen(n, 0);
+    size_t count = 0;
+    for (NodeId i = 0; i < n; ++i) {
+      if (!snap.alive[i] || seen[i] || i == skip_node) continue;
+      ++count;
+      seen[i] = 1;
+      queue.assign(1, i);
+      for (size_t head = 0; head < queue.size(); ++head) {
+        const NodeId u = queue[head];
+        for (NodeId v : adj[u]) {
+          if (seen[v] || v == skip_node) continue;
+          if ((u == a && v == b) || (u == b && v == a)) continue;
+          seen[v] = 1;
+          queue.push_back(v);
+        }
+      }
+    }
+    return count;
+  };
+  for (NodeId u = 0; u < n; ++u) {
+    if (!snap.alive[u]) continue;
+    if (count_components(u, kInvalidNode, kInvalidNode) >
+        snap.partitions - (adj[u].empty() ? 1 : 0)) {
+      snap.articulation.push_back(u);
+    }
+    for (NodeId v : adj[u]) {
+      if (u < v && count_components(kInvalidNode, u, v) > snap.partitions) {
+        snap.bridges.emplace_back(u, v);
+      }
+    }
+  }
+
+  std::vector<int64_t> dist(n);
+  for (NodeId rep = 0; rep < n; ++rep) {
+    if (!snap.alive[rep] || !is_rep[rep]) continue;
+    obs::ClusterTopoStats stats;
+    stats.rep = rep;
+    dist.assign(n, -1);
+    dist[rep] = 0;
+    queue.assign(1, rep);
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const NodeId u = queue[head];
+      for (NodeId next : adj[u]) {
+        if (dist[next] >= 0) continue;
+        dist[next] = dist[u] + 1;
+        queue.push_back(next);
+      }
+    }
+    for (NodeId j = 0; j < n; ++j) {
+      if (!snap.alive[j]) continue;
+      if (j != rep && snap.representative[j] != rep) continue;
+      ++stats.size;
+      stats.radius = std::max(
+          stats.radius, Distance(links.position(rep), links.position(j)));
+      if (stats.depth >= 0) {
+        stats.depth = dist[j] < 0 ? -1 : std::max(stats.depth, dist[j]);
+      }
+    }
+    snap.clusters.push_back(stats);
+  }
+  return snap;
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+void ExpectSameSnapshot(const obs::TopologySnapshot& got,
+                        const obs::TopologySnapshot& want) {
+  EXPECT_EQ(got.t, want.t);
+  EXPECT_EQ(got.num_nodes, want.num_nodes);
+  EXPECT_EQ(got.num_live, want.num_live);
+  EXPECT_EQ(got.partitions, want.partitions);
+  EXPECT_EQ(got.isolated, want.isolated);
+  EXPECT_EQ(Bits(got.avg_degree), Bits(want.avg_degree));
+  EXPECT_EQ(got.max_degree, want.max_degree);
+  EXPECT_EQ(got.weak_links, want.weak_links);
+  EXPECT_EQ(got.degree, want.degree);
+  EXPECT_EQ(got.component, want.component);
+  EXPECT_EQ(got.representative, want.representative);
+  EXPECT_EQ(got.alive, want.alive);
+  EXPECT_EQ(got.bridges, want.bridges);
+  EXPECT_EQ(got.articulation, want.articulation);
+  ASSERT_EQ(got.clusters.size(), want.clusters.size());
+  for (size_t c = 0; c < got.clusters.size(); ++c) {
+    SCOPED_TRACE("cluster " + std::to_string(c));
+    EXPECT_EQ(got.clusters[c].rep, want.clusters[c].rep);
+    EXPECT_EQ(got.clusters[c].size, want.clusters[c].size);
+    EXPECT_EQ(Bits(got.clusters[c].radius), Bits(want.clusters[c].radius));
+    EXPECT_EQ(got.clusters[c].depth, want.clusters[c].depth);
+  }
+}
+
+/// Picks uniformly among `ids`, or returns `fallback` when it is empty.
+NodeId PickOne(const std::vector<NodeId>& ids, NodeId fallback, Rng& rng) {
+  if (ids.empty()) return fallback;
+  return ids[static_cast<size_t>(
+      rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1))];
+}
+
+TEST(AnalyzeTopologyTest, MatchesWholeGraphReferenceOnRandomViews) {
+  constexpr int kCases = 320;
+  size_t broken = 0, deep = 0, split = 0, with_bridges = 0;
+  size_t dead_refs = 0, non_rep_refs = 0, invalid_refs = 0;
+  for (int seed = 0; seed < kCases; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(static_cast<uint64_t>(seed));
+    const size_t n = static_cast<size_t>(rng.UniformInt(1, 120));
+    std::vector<Point> positions(n);
+    std::vector<double> ranges(n);
+    for (size_t i = 0; i < n; ++i) {
+      positions[i] = {rng.NextDouble(), rng.NextDouble()};
+      ranges[i] = rng.UniformDouble(0.05, 0.35);  // asymmetric links
+    }
+    LinkModel links(positions, ranges, 0.0);
+    if (seed % 4 == 0) {  // a mobility move: some rows live in the overlay
+      links.SetPosition(static_cast<NodeId>(rng.UniformInt(
+                            0, static_cast<int64_t>(n) - 1)),
+                        {rng.NextDouble(), rng.NextDouble()});
+    }
+
+    obs::ClusterView view;
+    view.Resize(n);
+    std::vector<NodeId> reps, dead, non_reps;
+    for (NodeId i = 0; i < n; ++i) {
+      view.alive[i] = rng.Bernoulli(0.9);
+      view.is_rep[i] = rng.Bernoulli(0.26);
+      (view.is_rep[i] ? reps : non_reps).push_back(i);
+      if (!view.alive[i]) dead.push_back(i);
+    }
+    for (NodeId j = 0; j < n; ++j) {
+      if (view.is_rep[j] && rng.Bernoulli(0.9)) continue;  // names itself
+      std::vector<NodeId> near_reps;
+      for (NodeId v : links.Reachable(j)) {
+        if (view.is_rep[v]) near_reps.push_back(v);
+      }
+      const double kind = rng.NextDouble();
+      NodeId r = j;
+      if (kind < 0.35) {
+        r = PickOne(near_reps, j, rng);  // a rep in range
+      } else if (kind < 0.65) {
+        r = PickOne(reps, j, rng);  // hops away, maybe another component
+      } else if (kind < 0.75) {
+        r = PickOne(non_reps, j, rng);
+        if (r != j) ++non_rep_refs;
+      } else if (kind < 0.85) {
+        r = PickOne(dead, j, rng);
+        if (r != j) ++dead_refs;
+      } else if (kind < 0.92) {
+        r = kInvalidNode;
+        ++invalid_refs;
+      }
+      view.representative[j] = r;
+    }
+    // A partially filled view falls back to its defaults.
+    if (seed % 25 == 1) view.alive.clear();
+    if (seed % 25 == 2) view.is_rep.clear();
+    if (seed % 25 == 3) view.representative.clear();
+
+    const obs::TopologySnapshot got = obs::AnalyzeTopology(links, view, seed);
+    const obs::TopologySnapshot want =
+        ReferenceAnalyzeTopology(links, view, seed);
+    ExpectSameSnapshot(got, want);
+    for (const obs::ClusterTopoStats& c : want.clusters) {
+      if (c.depth < 0) ++broken;
+      if (c.depth >= 2) ++deep;
+    }
+    if (want.partitions > 1) ++split;
+    if (!want.bridges.empty()) ++with_bridges;
+  }
+  // The seeds must have exercised every shape the generator aims for.
+  EXPECT_GT(broken, 0u);
+  EXPECT_GT(deep, 0u);
+  EXPECT_GT(split, 0u);
+  EXPECT_GT(with_bridges, 0u);
+  EXPECT_GT(dead_refs, 0u);
+  EXPECT_GT(non_rep_refs, 0u);
+  EXPECT_GT(invalid_refs, 0u);
 }
 
 // ---------------------------------------------------------------------------
